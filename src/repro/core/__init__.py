@@ -13,6 +13,7 @@ from repro.core.inference import (
     gather_log_softmax,
     resolve_engine,
     successor_log_softmax_nll,
+    successor_step_nll,
 )
 from repro.core.tg_vae import TGVAE, TGVAEOutput
 from repro.core.rp_vae import RPVAE, RPVAEOutput
@@ -22,6 +23,7 @@ from repro.core.online import OnlineDetector, OnlineSession
 from repro.core.scoring_kernel import (
     SessionInit,
     advance_sessions,
+    can_advance,
     init_session_states,
     validate_segment_ids,
 )
@@ -42,6 +44,7 @@ __all__ = [
     "OnlineSession",
     "SessionInit",
     "advance_sessions",
+    "can_advance",
     "init_session_states",
     "validate_segment_ids",
     "InferenceEngine",
@@ -50,5 +53,6 @@ __all__ = [
     "EngineStats",
     "gather_log_softmax",
     "successor_log_softmax_nll",
+    "successor_step_nll",
     "resolve_engine",
 ]

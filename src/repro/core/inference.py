@@ -12,8 +12,8 @@ per λ even though λ only enters as a scalar weight at composition time.
 This module is the offline counterpart of :mod:`repro.core.scoring_kernel`
 (which vectorizes the *online* per-segment update): a pure-numpy,
 allocation-reusing batched scorer that mirrors the eval-mode forwards
-operation-for-operation, so offline, online and fleet scores share one
-arithmetic source of truth.
+operation-for-operation.  The per-step arithmetic after the GRU is shared with
+the serving kernel (below), so offline, online and fleet step scores agree.
 
 * :class:`InferenceEngine` — scores CausalTAD batches/datasets without
   building a single Tensor.  Road-constrained batches never materialise the
@@ -28,9 +28,11 @@ arithmetic source of truth.
   evaluates a whole λ grid as one ``likelihood − λ ⊗ scaling`` outer product.
 * :class:`Seq2SeqInferenceEngine` — the same treatment for the Seq2Seq
   baseline family (SAE / VSAE / β-VAE / FactorVAE / GM-VSAE / DeepTEA).
-* :func:`gather_log_softmax` / :func:`successor_log_softmax_nll` — the numpy
-  softmax/NLL mirrors shared with the online serving kernel (moved here from
-  ``scoring_kernel`` so serving and offline scoring deduplicate them).
+* :func:`successor_step_nll` — the road-constrained step NLL from decoder
+  hidden states (successor-column contraction + sparse log-softmax), and the
+  numpy softmax/NLL mirrors :func:`gather_log_softmax` /
+  :func:`successor_log_softmax_nll` — all shared with the online serving
+  kernel, so serving and offline scoring run one implementation.
 
 Datasets are scored in length-bucketed batches (near-homogeneous lengths, so
 padded GRU steps are almost eliminated) through per-bucket workspaces that are
@@ -69,6 +71,7 @@ __all__ = [
     "Workspace",
     "gather_log_softmax",
     "successor_log_softmax_nll",
+    "successor_step_nll",
     "resolve_engine",
     "DEFAULT_ENGINE",
 ]
@@ -140,6 +143,47 @@ def successor_log_softmax_nll(
     log_z = np.log(sum_exp)
     picked = np.where(target_allowed, picked, NEG_INF)[..., None]
     return (log_z - (picked - shift))[..., 0]
+
+
+def successor_step_nll(
+    hidden: np.ndarray,
+    weight_t: np.ndarray,
+    bias: np.ndarray,
+    cand_idx: np.ndarray,
+    cand_valid: np.ndarray,
+    targets: np.ndarray,
+    target_allowed: np.ndarray,
+    cand_weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Road-constrained step NLL straight from decoder hidden states.
+
+    Contracts ``hidden`` ``(..., H)`` against only the output-projection
+    columns of each position's successors, so the ``(..., vocab)`` logits
+    never exist: ``weight_t`` is the transposed projection weight ``(vocab,
+    H)``, ``bias`` its ``(vocab,)`` bias, ``cand_idx`` / ``cand_valid`` the
+    successor tables gathered at the current segments ``(..., max_degree)``
+    and ``targets`` / ``target_allowed`` the entered segment and whether it is
+    a successor ``(...)``.  Any leading shape works: the offline engine passes
+    ``(batch, time)``, the serving kernel ``(rides,)``.
+
+    ``cand_weights`` is an optional ``(..., max_degree, H)`` buffer for the
+    gathered weight rows; the offline engine passes a workspace view and a
+    C-contiguous ``weight_t``.  Without a buffer the rows are gathered by
+    fancy indexing, which reads a transposed view such as ``weight.T`` in
+    place, where ``np.take`` would first copy the whole matrix on every call.
+    Both gathers give the same array.
+    """
+    if cand_weights is None:
+        cand_weights = weight_t[cand_idx]
+    else:
+        # mode="clip" selects the fast unbuffered take; successor-table
+        # entries are in [0, vocab) by construction so it cannot clip.
+        np.take(weight_t, cand_idx, axis=0, out=cand_weights, mode="clip")
+    cand = (cand_weights @ hidden[..., None])[..., 0]
+    cand += bias[cand_idx]
+    picked = (weight_t[targets] * hidden).sum(axis=-1)
+    picked += bias[targets]
+    return successor_log_softmax_nll(cand, cand_valid, picked, target_allowed)
 
 
 # --------------------------------------------------------------------------- #
@@ -629,10 +673,9 @@ class InferenceEngine:
         valid = np.asarray(batch.mask, dtype=np.float64)
 
         if constraint is not None and config.road_constrained:
-            # Sparse road-constrained scoring: contract the hidden states with
-            # only the successor weight columns — the (batch, time, vocab)
-            # logits never exist.  Arithmetic past the gathered candidates is
-            # the shared successor_log_softmax_nll mirror of the fused loss.
+            # Sparse road-constrained scoring through the successor-step
+            # helper the serving kernel shares: the (batch, time, vocab)
+            # logits never exist.
             if isinstance(constraint, CompiledRoadGraph):
                 succ_idx, succ_valid = constraint.successor_tables()
             else:
@@ -650,21 +693,19 @@ class InferenceEngine:
                 raise ValueError(
                     "fused_successor_nll requires at least one allowed position per row"
                 )
-            outputs = outputs_tm.transpose(1, 0, 2)     # (batch, time, hidden) view
             weight_t = self._weight_t
             if weight_t is None:  # standalone decompose_batch call
                 weight_t = np.ascontiguousarray(projection.weight.data.T)
-            bias = projection.bias.data
-            hidden_dim = weight_t.shape[1]
-            cand_weights = self._ws.take("dec.candw", cand_idx.shape + (hidden_dim,))
-            # mode="clip" selects the fast unbuffered take; successor-table
-            # entries are in [0, vocab) by construction so it cannot clip.
-            np.take(weight_t, cand_idx, axis=0, out=cand_weights, mode="clip")
-            cand = (cand_weights @ outputs[..., None])[..., 0]
-            cand += bias[cand_idx]
-            picked = (weight_t[batch.targets] * outputs).sum(axis=-1)
-            picked += bias[batch.targets]
-            per_step = successor_log_softmax_nll(cand, cand_valid, picked, target_allowed)
+            per_step = successor_step_nll(
+                outputs_tm.transpose(1, 0, 2),          # (batch, time, hidden) view
+                weight_t,
+                projection.bias.data,
+                cand_idx,
+                cand_valid,
+                batch.targets,
+                target_allowed,
+                cand_weights=self._ws.take("dec.candw", cand_idx.shape + (weight_t.shape[1],)),
+            )
             return per_step * valid
 
         # Unconstrained: the full-vocabulary softmax needs every logit, but

@@ -7,20 +7,21 @@ operations, both of which vectorize cleanly over a batch of concurrent rides:
   score (SD reconstruction + KL) and the initial hidden state of the
   autoregressive decoder;
 * **session advance** — one embedding lookup, one :class:`~repro.nn.GRUCell`
-  step and one (masked) log-softmax yielding the log-probability of the newly
-  entered segment.
+  step and one (road-constrained) log-softmax yielding the log-probability of
+  the newly entered segment.
 
 :class:`~repro.core.online.OnlineSession` calls these with batch size 1;
 :class:`~repro.serving.FleetEngine` calls them with one row per pending ride,
-turning thousands of per-ride Python steps into a handful of matrix ops.  The
-hot :func:`advance_sessions` path works on raw numpy arrays (via
-:meth:`GRUCell.step <repro.nn.GRUCell.step>` and the shared softmax mirrors
-:func:`~repro.core.inference.gather_log_softmax` /
-:func:`~repro.core.inference.successor_log_softmax_nll`) so serving never
-builds throw-away autograd graphs; the mirrors live in
-:mod:`repro.core.inference` — the offline batched engine — and reproduce the
-Tensor ops operation-for-operation, keeping online, fleet and offline scores
-in exact agreement.
+turning thousands of per-ride Python steps into a handful of matrix ops.
+Offline scoring does not run this module: it runs the batched engine in
+:mod:`repro.core.inference`.  What the two share is the per-step arithmetic
+after the GRU — :func:`~repro.core.inference.successor_step_nll` on
+road-constrained models and :func:`~repro.core.inference.gather_log_softmax`
+on unconstrained ones — so fleet, per-ride and offline step scores agree.
+The hot :func:`advance_sessions` path works on raw numpy arrays (via
+:meth:`GRUCell.step <repro.nn.GRUCell.step>`) and never builds autograd
+graphs; session start still runs the model's Tensor modules under
+``no_grad``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.inference import gather_log_softmax, successor_log_softmax_nll
+from repro.core.inference import gather_log_softmax, successor_step_nll
 from repro.nn import NEG_INF, log_softmax, no_grad
 
 __all__ = [
     "SessionInit",
     "init_session_states",
     "advance_sessions",
+    "can_advance",
     "validate_segment_ids",
 ]
 
@@ -49,7 +51,8 @@ class SessionInit:
     ----------
     fixed_scores:
         ``(batch,)`` — the SD-reconstruction + KL part of Eq. 10, constant for
-        the lifetime of each ride.
+        the lifetime of each ride.  The KL enters unweighted, as in every
+        offline scorer: ``config.kl_weight`` only weights the training loss.
     hidden:
         ``(batch, hidden_dim)`` — initial hidden state of the trajectory
         decoder (``tanh(W r)`` with ``r`` the deterministic posterior mean).
@@ -98,10 +101,26 @@ def init_session_states(
             destination_lp = log_softmax(destination_logits, axis=-1).data[rows, destinations]
             fixed += -(source_lp + destination_lp)
         kl = 0.5 * (np.exp(logvar.data) + mu.data**2 - 1.0 - logvar.data).sum(axis=-1)
-        fixed += kl * config.kl_weight
+        fixed += kl
 
         hidden = tg.latent_to_hidden(latent).tanh().data
     return SessionInit(fixed_scores=fixed, hidden=hidden)
+
+
+def can_advance(model: CausalTAD, segments: np.ndarray) -> np.ndarray:
+    """Which rows :func:`advance_sessions` can step away from.
+
+    ``(batch,)`` bool: False only where a road-constrained model has a ride on
+    a segment with no successor (a one-way spur into a dead end), for which
+    the constrained softmax has nothing to normalise over.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
+    if model.config.road_constrained:
+        if getattr(model, "road_graph", None) is not None:
+            return model.road_graph.successor_tables()[1][segments].any(axis=-1)
+        if model.transition_mask is not None:
+            return model.transition_mask[segments].any(axis=-1)
+    return np.ones(segments.shape, dtype=bool)
 
 
 def advance_sessions(
@@ -115,7 +134,7 @@ def advance_sessions(
     Parameters
     ----------
     model:
-        The (eval-mode) CausalTAD model.
+        The (eval-mode) CausalTAD model; its parameters are read at call time.
     previous_segments / next_segments:
         ``(batch,)`` int arrays — the segment each ride is currently on and
         the segment it just entered.
@@ -127,43 +146,51 @@ def advance_sessions(
     (new_hidden, step_likelihoods):
         The advanced hidden states ``(batch, hidden_dim)`` and the per-ride
         step scores ``−log P(t_i | c, t_{<i})`` of shape ``(batch,)``.
+
+    With a road network attached, each ride is projected onto only its
+    current segment's successor columns through
+    :func:`~repro.core.inference.successor_step_nll`, the helper the offline
+    engine runs, so no ``(batch, vocab)`` logits are built.  A model
+    constrained by an explicit dense mask keeps the full-logits masked
+    softmax, and an unconstrained model normalises over every segment.  Raises
+    ``ValueError`` when a road-constrained row has no successor (see
+    :func:`can_advance`).
     """
     config = model.config
     tg = model.tg_vae
+    projection = tg.output_projection
     previous_segments = np.asarray(previous_segments, dtype=np.int64)
     next_segments = np.asarray(next_segments, dtype=np.int64)
 
+    if not can_advance(model, previous_segments).all():
+        raise ValueError("masked_log_softmax requires at least one allowed position per row")
+
     embedded = tg.segment_embedding.weight.data[previous_segments]
     new_hidden = tg.decoder_rnn.cell.step(embedded, hidden)
-    logits = new_hidden @ tg.output_projection.weight.data + tg.output_projection.bias.data
-    rows = np.arange(next_segments.shape[0])
     if config.road_constrained and getattr(model, "road_graph", None) is not None:
-        # Sparse road-constrained step: normalise over each ride's successor
-        # set only — O(out-degree) gathered columns instead of masking and
-        # exponentiating the full (batch, vocab) row.  The arithmetic
-        # (``successor_log_softmax_nll``, shared with the offline inference
-        # engine) mirrors ``fused_successor_nll`` operation-for-operation, so
-        # serving scores match the offline scorers bit-for-bit.
         succ_idx, succ_valid = model.road_graph.successor_tables()
         cand_idx = succ_idx[previous_segments]
         cand_valid = succ_valid[previous_segments]
-        if not cand_valid.any(axis=-1).all():
-            raise ValueError("masked_log_softmax requires at least one allowed position per row")
-        cand = np.take_along_axis(logits, cand_idx, axis=-1)
         allowed_next = ((cand_idx == next_segments[:, None]) & cand_valid).any(axis=-1)
-        step_likelihoods = successor_log_softmax_nll(
-            cand, cand_valid, logits[rows, next_segments], allowed_next
+        step_likelihoods = successor_step_nll(
+            new_hidden,
+            projection.weight.data.T,
+            projection.bias.data,
+            cand_idx,
+            cand_valid,
+            next_segments,
+            allowed_next,
         )
         return new_hidden, step_likelihoods
+    logits = new_hidden @ projection.weight.data + projection.bias.data
     if config.road_constrained and model.transition_mask is not None:
         # Dense-mask compatibility path (model constrained by an explicit
         # (V, V) matrix rather than an attached network).  road_constrained
         # is tested first: the transition_mask property densifies lazily, and
         # an unconstrained model must never pay for the O(V^2) view.
         allowed = model.transition_mask[previous_segments]
-        if not allowed.any(axis=-1).all():
-            raise ValueError("masked_log_softmax requires at least one allowed position per row")
         # ``logits`` is freshly allocated above, so masking in place is safe.
         np.copyto(logits, NEG_INF, where=~allowed)
+    rows = np.arange(next_segments.shape[0])
     step_likelihoods = -gather_log_softmax(logits, rows, next_segments)
     return new_hidden, step_likelihoods

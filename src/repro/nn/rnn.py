@@ -75,10 +75,11 @@ class GRUCell(Module):
     def step(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Inference-only step on raw numpy arrays (no autograd graph).
 
-        Mirrors :meth:`forward` operation-for-operation so that results are
-        bitwise identical to the Tensor path; the online serving engine uses it
-        to advance thousands of ride sessions per tick without paying the
-        graph-recording overhead.
+        Mirrors :meth:`forward` operation-for-operation, and :func:`_sigmoid_np`
+        is bitwise equal to :meth:`Tensor.sigmoid`, so the new state is bitwise
+        identical to ``forward`` under ``no_grad``.  The serving kernel uses it
+        to advance every pending ride of a fleet tick in one call without
+        recording a graph.
         """
         gates_x = x @ self.w_ih.data + self.b_ih.data
         gates_h = h @ self.w_hh.data + self.b_hh.data
@@ -90,21 +91,25 @@ class GRUCell(Module):
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid matching :meth:`Tensor.sigmoid` exactly.
+    """Numerically stable sigmoid, bitwise equal to :meth:`Tensor.sigmoid`.
 
-    Same per-element operations as the Tensor path (clip, exp, add, divide on
-    the same branch), but each element is computed once through a mask instead
-    of evaluating both branches everywhere — bitwise-identical results at
-    roughly half the elementwise work, which matters on the serving hot path.
+    The Tensor path evaluates ``1 / (1 + exp(-c))`` for ``x >= 0`` and
+    ``exp(c) / (1 + exp(c))`` otherwise, with ``c = clip(x, -60, 60)``.  Both
+    branches share the one exponential ``e = exp(-|c|)``, so this computes it
+    once and picks each element's branch with ``np.where`` — the same
+    per-element operations, hence the same bits (NaN included: ``min(c, -c)``
+    keeps a NaN's sign where ``-abs(c)`` would flip it).  Boolean-mask
+    indexing is avoided on purpose: an earlier masked form that computed each
+    branch only where needed took 1.8 ms against this form's 0.55 ms on a
+    992×48 array (2-vCPU x86 VM), and :meth:`GRUCell.step` calls it twice.
     """
-    out = np.empty_like(x)
-    positive = x >= 0
-    pos = np.clip(x[positive], -60, 60)
-    out[positive] = 1.0 / (1.0 + np.exp(-pos))
-    negative = ~positive
-    neg = np.exp(np.clip(x[negative], -60, 60))
-    out[negative] = neg / (1.0 + neg)
-    return out
+    e = np.clip(x, -60, 60)
+    np.minimum(e, -e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    positive = np.divide(1.0, denom)
+    np.divide(e, denom, out=e)
+    return np.where(x >= 0, positive, e)
 
 
 class GRU(Module):

@@ -36,7 +36,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.scoring_kernel import advance_sessions, init_session_states
+from repro.core.scoring_kernel import advance_sessions, can_advance, init_session_states
 from repro.obs.registry import MetricsRegistry
 from repro.serving.alerts import Alert, ThresholdAlertPolicy, top_k_rides
 from repro.serving.events import FleetEvent, RideEnd, RideStart, SegmentObserved
@@ -268,7 +268,10 @@ class FleetEngine:
         pending observation per active ride (one batched kernel step), then
         ride ends whose observation queues have drained, then TTL eviction.
         Rides with more than one queued observation keep the rest for
-        subsequent ticks, which preserves per-ride ordering.
+        subsequent ticks, which preserves per-ride ordering.  A ride on a
+        road-constrained dead end (a segment with no successor) cannot be
+        scored onward: its next observation is dropped, counted in
+        ``telemetry.events_dropped`` and logged, and the other rides advance.
         """
         report = TickReport(tick=self._tick)
         with Timer() as timer:
@@ -316,6 +319,25 @@ class FleetEngine:
         if not batch:
             return
         previous = np.array([state.segments[-1] for state in batch], dtype=np.int64)
+        movable = can_advance(self.model, previous)
+        if not movable.all():
+            # A ride stuck on a dead-end segment cannot be scored onward; drop
+            # its observation (the policy submit() applies to unknown rides)
+            # before anything is popped, so co-batched rides still advance.
+            for state, ok in zip(batch, movable):
+                if ok:
+                    continue
+                segment = state.pending.popleft()
+                self.telemetry.events_dropped += 1
+                logger.warning(
+                    "dropped SegmentObserved for ride %r (segment %d, tick %d): "
+                    "its current segment %d has no successor",
+                    state.ride_id, segment, self._tick, state.segments[-1],
+                )
+            batch = [state for state, ok in zip(batch, movable) if ok]
+            if not batch:
+                return
+            previous = previous[movable]
         entered = np.array([state.pending.popleft() for state in batch], dtype=np.int64)
         hidden = np.stack([state.hidden for state in batch], axis=0)
 

@@ -20,7 +20,9 @@ from repro.nn import (
     Parameter,
     Sequential,
     Tensor,
+    no_grad,
 )
+from repro.nn.rnn import _sigmoid_np
 from repro.utils import RandomState
 
 
@@ -215,6 +217,27 @@ class TestRecurrent:
         out.sum().backward()
         for param in gru.parameters():
             assert param.grad is not None
+
+    def test_sigmoid_np_bitwise_equals_tensor_sigmoid(self):
+        sample = np.random.default_rng(13).normal(scale=25.0, size=1_000_000)
+        edges = np.array([700.0, -700.0, 60.0, -60.0, 0.0, -0.0, np.nan, -np.nan])
+        x = np.concatenate([sample, edges])
+        # Bit patterns, so signed zeros and the sign of NaN count too.
+        np.testing.assert_array_equal(
+            _sigmoid_np(x).view(np.uint64), Tensor(x).sigmoid().data.view(np.uint64)
+        )
+
+    @pytest.mark.parametrize("rows", [1, 992])
+    def test_gru_cell_step_bitwise_equals_forward(self, rows):
+        cell = GRUCell(48, 48, rng=RandomState(3))
+        gen = np.random.default_rng(rows)
+        cell.b_ih.data[:] = gen.normal(size=cell.b_ih.data.shape)
+        cell.b_hh.data[:] = gen.normal(size=cell.b_hh.data.shape)
+        x = gen.normal(scale=2.0, size=(rows, 48))
+        h = np.tanh(gen.normal(size=(rows, 48)))
+        with no_grad():
+            reference = cell(Tensor(x), Tensor(h)).data
+        np.testing.assert_array_equal(cell.step(x, h).view(np.uint64), reference.view(np.uint64))
 
     def test_gru_rejects_bad_dims(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import CausalTAD, CausalTADConfig
+from repro.core import CausalTAD, CausalTADConfig, OnlineDetector
+from repro.roadnet import RoadNetwork
 from repro.serving import (
     FleetEngine,
     RideEnd,
@@ -125,6 +126,36 @@ class TestLifecycle:
         engine.submit(RideEnd("ghost"))
         engine.tick()
         assert engine.telemetry.events_dropped == 2
+
+    def test_dead_end_ride_does_not_stall_co_batched_rides(self, caplog):
+        """A ride on a segment with no successor loses only its own observation."""
+        net = RoadNetwork(name="dead-end")
+        for node, (x, y) in enumerate([(0, 0), (100, 0), (200, 0), (200, 100)]):
+            net.add_intersection(node, x, y)
+        net.add_bidirectional_road(0, 1)  # segments 0: 0->1, 1: 1->0
+        net.add_bidirectional_road(1, 2)  # segments 2: 1->2, 3: 2->1
+        net.add_segment(2, 3)  # segment 4: one-way spur into dead-end node 3
+        model = CausalTAD(CausalTADConfig.tiny(net.num_segments), network=net, rng=RandomState(0))
+        engine = FleetEngine(model)
+        engine.submit(RideStart("healthy", SDPair(0, 3), 0))
+        engine.submit(RideStart("stuck", SDPair(2, 4), 4))
+        engine.tick()
+        engine.submit(SegmentObserved("healthy", 2))
+        engine.submit(SegmentObserved("stuck", 3))
+        with caplog.at_level("WARNING", logger="repro.serving.engine"):
+            report = engine.tick()
+
+        assert report.segments_processed == 1
+        assert engine.telemetry.events_dropped == 1
+        assert any("'stuck'" in record.getMessage() for record in caplog.records)
+        healthy = engine.store.get("healthy")
+        assert healthy.segments == [0, 2] and not healthy.pending
+        stuck = engine.store.get("stuck")
+        assert stuck.segments == [4] and not stuck.pending
+        session = OnlineDetector(model).start_session(SDPair(0, 3), 0)
+        assert engine.score("healthy") == pytest.approx(
+            session.update(2).cumulative_score, rel=1e-12, abs=1e-12
+        )
 
     def test_end_defers_until_observations_drain(self, model, trajectories):
         trajectory = trajectories[0]

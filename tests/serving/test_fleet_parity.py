@@ -2,11 +2,14 @@
 
 The acceptance bar for the serving subsystem: for the same trajectories, the
 batched :class:`FleetEngine`, the per-ride :class:`OnlineSession` replay and
-the offline :meth:`CausalTAD.score_trajectory` must agree to 1e-6, on both the
-road-constrained (masked softmax) and unconstrained softmax paths.
+the offline :meth:`CausalTAD.score_trajectory` must agree to 1e-12, on both the
+road-constrained (successor softmax) and unconstrained softmax paths, and for
+a ``kl_weight`` other than 1 (a training-loss weight that no score applies).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from repro.core import CausalTAD, CausalTADConfig, OnlineDetector
 from repro.serving import FleetEngine, replay_trajectories
 from repro.utils import RandomState
 
-TOL = 1e-6
+TOL = 1e-12
 
 
 def fleet_final_scores(model, trajectories, **engine_kwargs):
@@ -120,4 +123,21 @@ class TestLambdaOverrideParity:
             )
             assert fleet[trajectory.trajectory_id] == pytest.approx(
                 trained_causal_tad.score_trajectory(trajectory, lambda_weight=lam), abs=TOL, rel=TOL
+            )
+
+
+class TestKLWeightParity:
+    def test_kl_weight_is_not_part_of_the_score(self, benchmark_data):
+        config = CausalTADConfig.tiny(benchmark_data.num_segments)
+        config = dataclasses.replace(config, kl_weight=0.5)
+        model = CausalTAD(config, network=benchmark_data.city.network, rng=RandomState(11))
+        model.eval()
+        trajectories = benchmark_data.id_test.trajectories[:6]
+        detector = OnlineDetector(model)
+        fleet = fleet_final_scores(model, trajectories)
+        for trajectory in trajectories:
+            offline_score = model.score_trajectory(trajectory)
+            assert fleet[trajectory.trajectory_id] == pytest.approx(offline_score, abs=TOL, rel=TOL)
+            assert detector.final_score(trajectory) == pytest.approx(
+                offline_score, abs=TOL, rel=TOL
             )
