@@ -8,7 +8,7 @@ replays the same rides through both paths and reports segments/second.
 Acceptance bar: at 256 concurrent rides the batched :class:`FleetEngine`
 sustains at least 5× the throughput of the per-ride
 :class:`~repro.core.OnlineSession` loop, while producing identical scores
-(1e-6).
+(1e-12).
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def test_bench_fleet_throughput(xian_data):
         for ride_id, score in loop_scores.items()
     )
     print(f"  worst score disagreement    : {worst:.2e}")
-    assert worst < 1e-6
+    assert worst < 1e-12
 
     write_timing_artifact(
         "bench_fleet_throughput",

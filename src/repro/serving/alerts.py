@@ -5,8 +5,9 @@ Two complementary views of "which rides look anomalous right now":
 * :class:`ThresholdAlertPolicy` — fires an :class:`Alert` the first time a
   ride's length-normalised score crosses a calibrated threshold (the
   "flag the detour while it is happening" workflow);
-* :func:`top_k_rides` — the k most anomalous *active* rides, for a fleet
-  dashboard that always shows the worst offenders regardless of threshold.
+* :meth:`FleetEngine.top_k <repro.serving.engine.FleetEngine.top_k>` — the
+  k most anomalous *active* rides, for a fleet dashboard that always shows
+  the worst offenders regardless of threshold.
 
 :func:`calibrate_threshold` derives the threshold from normal (training)
 rides: the score is normalised per segment so long rides are not penalised for
@@ -17,15 +18,14 @@ early-ride inflation of the fixed SD/KL score part is already accounted for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.online import OnlineDetector
-from repro.serving.store import RideState
 from repro.trajectory.types import MapMatchedTrajectory
 
-__all__ = ["Alert", "ThresholdAlertPolicy", "top_k_rides", "calibrate_threshold"]
+__all__ = ["Alert", "ThresholdAlertPolicy", "calibrate_threshold"]
 
 
 @dataclass(frozen=True)
@@ -52,38 +52,16 @@ class ThresholdAlertPolicy:
         self.threshold = float(threshold)
         self.min_observed = int(min_observed)
 
-    def check(self, state: RideState, lambda_weight: float, tick: int) -> Optional[Alert]:
-        """Return an :class:`Alert` if the ride just crossed the threshold."""
-        if state.alerted or state.observed_length < self.min_observed:
-            return None
-        rate = state.per_segment_score(lambda_weight)
-        if rate <= self.threshold:
-            return None
-        state.alerted = True
-        return Alert(
-            ride_id=state.ride_id,
-            tick=tick,
-            cumulative_score=state.score(lambda_weight),
-            per_segment_score=rate,
-            observed_length=state.observed_length,
-        )
+    def fire_mask(
+        self, observed_lengths: np.ndarray, rates: np.ndarray, alerted: np.ndarray
+    ) -> np.ndarray:
+        """Which rides alert now, one bool per ride.
 
-
-def top_k_rides(
-    states: Iterable[RideState], k: int, lambda_weight: float
-) -> List[Tuple[str, float]]:
-    """The ``k`` most anomalous active rides as ``(ride_id, rate)`` pairs.
-
-    Ranked by per-segment (length-normalised) score, most anomalous first.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    ranked = sorted(
-        ((state.ride_id, state.per_segment_score(lambda_weight)) for state in states),
-        key=lambda pair: pair[1],
-        reverse=True,
-    )
-    return ranked[:k]
+        A ride alerts when it has not alerted before, has observed at least
+        ``min_observed`` segments and its per-segment score ``rates``
+        exceeds the threshold.
+        """
+        return ~alerted & (observed_lengths >= self.min_observed) & (rates > self.threshold)
 
 
 def calibrate_threshold(

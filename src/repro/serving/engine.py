@@ -20,30 +20,35 @@ so the per-segment cost is a handful of matrix ops for *all* pending rides
 instead of N scalar passes.  Scores are identical to the per-ride path — both
 run the same shared scoring kernel.
 
-Operational concerns are delegated to the sibling modules: the
-:class:`~repro.serving.store.SessionStore` bounds memory via capacity/TTL
-eviction, :class:`~repro.serving.telemetry.FleetTelemetry` tracks throughput
-and tick latency, and :mod:`repro.serving.alerts` raises threshold alerts and
-ranks the currently most anomalous rides.
+The rides' state lives in the slot-indexed arrays of
+:class:`~repro.serving.store.SessionStore`, so the bookkeeping around the
+kernel is array work too: the tick gathers the hidden states of the rides it
+advances, runs the kernel and scatters the results back; score sums, alerts,
+LRU/TTL eviction and ranking are array expressions over the same slots.
+:class:`~repro.serving.telemetry.FleetTelemetry` tracks throughput and tick
+latency, :mod:`repro.serving.alerts` decides which rides alert, and each tick
+phase runs inside a ``serving/<phase>`` :mod:`repro.obs` span.
 """
 
 from __future__ import annotations
 
+import operator
+import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.causal_tad import CausalTAD
 from repro.core.scoring_kernel import advance_sessions, can_advance, init_session_states
 from repro.obs.registry import MetricsRegistry
-from repro.serving.alerts import Alert, ThresholdAlertPolicy, top_k_rides
+from repro.serving.alerts import Alert, ThresholdAlertPolicy
 from repro.serving.events import FleetEvent, RideEnd, RideStart, SegmentObserved
-from repro.serving.store import RideState, SessionStore
+from repro.serving.store import SessionStore
 from repro.serving.telemetry import FleetTelemetry
 from repro.utils.logging import get_logger
-from repro.utils.timing import Timer
 
 __all__ = ["FleetEngine", "TickReport", "FinishedRide", "FleetRunSummary"]
 
@@ -171,6 +176,7 @@ class FleetEngine:
             model.config.lambda_weight if lambda_weight is None else lambda_weight
         )
         self._scaling = model.scaling_factors()
+        self._num_segments = model.config.num_segments
         if retention <= 0:
             raise ValueError("retention must be positive")
         self.store = SessionStore(capacity=capacity, ttl_ticks=ttl_ticks)
@@ -198,13 +204,17 @@ class FleetEngine:
         """Number of rides with a live session in the store."""
         return len(self.store)
 
-    def _check_segment(self, segment_id: int) -> None:
-        # Pure-Python range check: submit() sits on the ingest hot path, so it
-        # must not pay numpy array-construction overhead per event.
-        if not 0 <= segment_id < self.model.config.num_segments:
-            raise ValueError(
-                f"segment id {segment_id} outside [0, {self.model.config.num_segments})"
-            )
+    def _check_segment(self, segment_id: int) -> int:
+        # Pure Python: submit() sits on the ingest hot path, so it must not
+        # pay numpy overhead per event.  operator.index rejects floats (which
+        # pass a range check) and numpy floats; numpy ints come back as int.
+        try:
+            segment = operator.index(segment_id)
+        except TypeError:
+            raise TypeError(f"segment id {segment_id!r} is not an integer") from None
+        if not 0 <= segment < self._num_segments:
+            raise ValueError(f"segment id {segment} outside [0, {self._num_segments})")
+        return segment
 
     def submit(self, event: FleetEvent) -> None:
         """Queue one event; it takes effect on the next :meth:`tick`.
@@ -217,21 +227,27 @@ class FleetEngine:
             ride's observation queue; silently dropped — and counted in
             telemetry — when the ride is unknown) or :class:`RideEnd`
             (closes the session once its observations have drained).
-            Segment ids must lie in ``[0, num_segments)``.
+            Segment ids must be integers (``TypeError`` otherwise) in
+            ``[0, num_segments)`` (``ValueError`` otherwise); a rejected event
+            changes nothing.
         """
         # SegmentObserved dominates real streams, so it is dispatched first.
         if isinstance(event, SegmentObserved):
-            self._check_segment(event.segment_id)
-            state = self.store.get(event.ride_id)
-            if state is not None:
-                state.pending.append(event.segment_id)
-            elif event.ride_id in self._prestart_observations:
-                self._prestart_observations[event.ride_id].append(event.segment_id)
+            segment = event.segment_id
+            # Inline fast path for an in-range int; anything else is converted
+            # or rejected by the full check.
+            if type(segment) is not int or not 0 <= segment < self._num_segments:
+                segment = self._check_segment(segment)
+            if self.store.push(event.ride_id, segment):
+                return
+            prestart = self._prestart_observations.get(event.ride_id)
+            if prestart is not None:
+                prestart.append(segment)
             else:
                 self.telemetry.events_dropped += 1
                 logger.debug(
                     "dropped SegmentObserved for unknown ride %r (segment %d, tick %d)",
-                    event.ride_id, event.segment_id, self._tick,
+                    event.ride_id, segment, self._tick,
                 )
         elif isinstance(event, RideStart):
             if event.ride_id in self.store or event.ride_id in self._prestart_observations:
@@ -264,23 +280,31 @@ class FleetEngine:
     def tick(self) -> TickReport:
         """Execute all queued work as one vectorized micro-batch.
 
-        Processing order: ride starts (batched session init), then at most one
+        Processing order: ride starts (batched session init, then capacity
+        eviction of the least-recently-active sessions), then at most one
         pending observation per active ride (one batched kernel step), then
         ride ends whose observation queues have drained, then TTL eviction.
-        Rides with more than one queued observation keep the rest for
-        subsequent ticks, which preserves per-ride ordering.  A ride on a
-        road-constrained dead end (a segment with no successor) cannot be
-        scored onward: its next observation is dropped, counted in
-        ``telemetry.events_dropped`` and logged, and the other rides advance.
+        Each phase runs in a ``serving/start``, ``serving/advance``,
+        ``serving/finish`` or ``serving/evict`` span.  Rides with more than
+        one queued observation keep the rest for subsequent ticks, which
+        preserves per-ride ordering.  A ride on a road-constrained dead end
+        (a segment with no successor) cannot be scored onward: its next
+        observation is dropped, counted in ``telemetry.events_dropped`` and
+        logged, and the other rides advance.
         """
         report = TickReport(tick=self._tick)
-        with Timer() as timer:
+        tracer = obs.tracer()
+        begin = time.perf_counter()
+        with tracer.span("serving/start"):
             self._start_rides(report)
+        with tracer.span("serving/advance"):
             self._advance_rides(report)
+        with tracer.span("serving/finish"):
             self._finish_rides(report)
+        with tracer.span("serving/evict"):
             self._evict_expired(report)
-        report.seconds = timer.elapsed
-        self.telemetry.record_tick(timer.elapsed, report.segments_processed)
+        report.seconds = time.perf_counter() - begin
+        self.telemetry.record_tick(report.seconds, report.segments_processed)
         self.telemetry.rides_started += report.rides_started
         self._tick += 1
         return report
@@ -292,129 +316,157 @@ class FleetEngine:
         self._pending_starts = []
         sources = np.array([s.sd_pair.source for s in starts], dtype=np.int64)
         destinations = np.array([s.sd_pair.destination for s in starts], dtype=np.int64)
+        first = np.array([s.start_segment for s in starts], dtype=np.int64)
         init = init_session_states(self.model, sources, destinations)
-        for row, start in enumerate(starts):
-            first = start.start_segment
-            state = RideState(
-                ride_id=start.ride_id,
-                sd_pair=start.sd_pair,
-                segments=[first],
-                # Copy the row out of the batch so one long-lived session does
-                # not pin the whole (batch, hidden) init array alive.
-                hidden=init.hidden[row].copy(),
-                fixed_score=float(init.fixed_scores[row]),
-                likelihood_sum=0.0,
-                scaling_sum=float(self._scaling[first]),
-                started_tick=self._tick,
-                last_active_tick=self._tick,
-                pending=self._prestart_observations.pop(start.ride_id, deque()),
-            )
-            for lru in self.store.add(state):
-                self._retire(lru, evicted=True)
-                report.rides_evicted += 1
-            report.rides_started += 1
+        self.store.open(
+            [s.ride_id for s in starts],
+            [s.sd_pair for s in starts],
+            first,
+            init.hidden,
+            init.fixed_scores,
+            self._scaling[first],
+            self._tick,
+            [self._prestart_observations.pop(s.ride_id, None) for s in starts],
+        )
+        report.rides_started += len(starts)
+        # When one tick's starts alone exceed the capacity, the earliest of
+        # them are the least recently active and go too.
+        evicted = self.store.over_capacity()
+        if evicted.size:
+            self._retire(evicted, evicted=True)
+            report.rides_evicted += evicted.size
 
     def _advance_rides(self, report: TickReport) -> None:
-        batch = [state for state in self.store.states() if state.pending]
-        if not batch:
+        store = self.store
+        slots, entered = store.take_next()
+        if not slots.size:
             return
-        previous = np.array([state.segments[-1] for state in batch], dtype=np.int64)
+        previous = store.last_segment[slots]
         movable = can_advance(self.model, previous)
         if not movable.all():
-            # A ride stuck on a dead-end segment cannot be scored onward; drop
-            # its observation (the policy submit() applies to unknown rides)
-            # before anything is popped, so co-batched rides still advance.
-            for state, ok in zip(batch, movable):
-                if ok:
-                    continue
-                segment = state.pending.popleft()
+            # A ride stuck on a dead-end segment cannot be scored onward; its
+            # observation is dropped (the policy submit() applies to unknown
+            # rides) and the co-batched rides still advance.
+            stuck = ~movable
+            for ride_id, segment, current in zip(
+                store.ride_ids(slots[stuck]), entered[stuck].tolist(), previous[stuck].tolist()
+            ):
                 self.telemetry.events_dropped += 1
                 logger.warning(
                     "dropped SegmentObserved for ride %r (segment %d, tick %d): "
                     "its current segment %d has no successor",
-                    state.ride_id, segment, self._tick, state.segments[-1],
+                    ride_id, segment, self._tick, current,
                 )
-            batch = [state for state, ok in zip(batch, movable) if ok]
-            if not batch:
+            slots, entered, previous = slots[movable], entered[movable], previous[movable]
+            if not slots.size:
                 return
-            previous = previous[movable]
-        entered = np.array([state.pending.popleft() for state in batch], dtype=np.int64)
-        hidden = np.stack([state.hidden for state in batch], axis=0)
 
-        new_hidden, step_likelihoods = advance_sessions(self.model, previous, entered, hidden)
-
+        new_hidden, step_likelihoods = advance_sessions(
+            self.model, previous, entered, store.hidden[slots]
+        )
+        store.hidden[slots] = new_hidden
+        store.likelihood_sum[slots] += step_likelihoods
+        store.scaling_sum[slots] += self._scaling[entered]
+        store.last_segment[slots] = entered
+        store.observed_length[slots] += 1
         # LRU/TTL bookkeeping only matters when eviction is configured; on the
-        # unbounded fast path the per-ride touch is pure overhead.
-        needs_touch = self.store.capacity is not None or self.store.ttl_ticks is not None
-        scaling_steps = self._scaling[entered]
-        for row, state in enumerate(batch):
-            # Row copy, not a view: a view would keep the whole tick's
-            # (batch, hidden) array alive for as long as any ride idles.
-            state.hidden = new_hidden[row].copy()
-            state.likelihood_sum += float(step_likelihoods[row])
-            state.scaling_sum += float(scaling_steps[row])
-            state.segments.append(int(entered[row]))
-            if needs_touch:
-                self.store.touch(state.ride_id, self._tick)
-            if self.alert_policy is not None:
-                alert = self.alert_policy.check(state, self.lambda_weight, self._tick)
-                if alert is not None:
-                    report.alerts.append(alert)
-                    self.alerts.append(alert)
-                    self.telemetry.alerts_raised += 1
-                    logger.info(
-                        "alert: ride %r per-segment score %.4f at tick %d "
-                        "(%d segments observed)",
-                        alert.ride_id, alert.per_segment_score, self._tick,
-                        alert.observed_length,
-                    )
-        report.segments_processed += len(batch)
+        # unbounded store rides keep their start order.
+        if store.evicts:
+            store.touch(slots, self._tick)
+        if self.alert_policy is not None:
+            self._raise_alerts(slots, report)
+        report.segments_processed += slots.size
+
+    def _raise_alerts(self, slots: np.ndarray, report: TickReport) -> None:
+        store = self.store
+        scores = store.scores(slots, self.lambda_weight)
+        lengths = store.observed_length[slots]
+        rates = scores / lengths
+        fire = self.alert_policy.fire_mask(lengths, rates, store.alerted[slots])
+        if not fire.any():
+            return
+        store.alerted[slots[fire]] = True
+        for ride_id, score, rate, length in zip(
+            store.ride_ids(slots[fire]),
+            scores[fire].tolist(),
+            rates[fire].tolist(),
+            lengths[fire].tolist(),
+        ):
+            alert = Alert(
+                ride_id=ride_id,
+                tick=self._tick,
+                cumulative_score=score,
+                per_segment_score=rate,
+                observed_length=length,
+            )
+            report.alerts.append(alert)
+            self.alerts.append(alert)
+            logger.info(
+                "alert: ride %r per-segment score %.4f at tick %d (%d segments observed)",
+                ride_id, rate, self._tick, length,
+            )
+        self.telemetry.alerts_raised += int(fire.sum())
 
     def _finish_rides(self, report: TickReport) -> None:
         deferred: Deque[str] = deque()
+        done: Dict[int, None] = {}  # insertion-ordered set of slots to retire
         while self._pending_ends:
             ride_id = self._pending_ends.popleft()
-            state = self.store.get(ride_id)
-            if state is None:
+            slot = self.store.slot_of(ride_id)
+            if slot is None:
                 if ride_id in self._prestart_observations:
                     deferred.append(ride_id)  # start not ticked in yet
                 # else: session was evicted meanwhile; final record already kept
                 continue
-            if state.pending:
+            if self.store.has_queued(slot):
                 deferred.append(ride_id)  # keep ordering: drain observations first
-                continue
-            self.store.pop(ride_id)
-            self._retire(state, evicted=False)
-            report.rides_finished += 1
+            else:
+                done[slot] = None  # a repeated RideEnd finishes the ride once
         self._pending_ends = deferred
+        if done:
+            self._retire(np.fromiter(done, dtype=np.int64, count=len(done)), evicted=False)
+            report.rides_finished += len(done)
 
     def _evict_expired(self, report: TickReport) -> None:
-        for state in self.store.evict_expired(self._tick):
-            self._retire(state, evicted=True)
-            report.rides_evicted += 1
+        expired = self.store.expired(self._tick)
+        if expired.size:
+            self._retire(expired, evicted=True)
+            report.rides_evicted += expired.size
 
-    def _retire(self, state: RideState, evicted: bool) -> None:
-        self.finished.pop(state.ride_id, None)
-        while len(self.finished) >= self.retention:
-            self.finished.popitem(last=False)
-        self.finished[state.ride_id] = FinishedRide(
-            ride_id=state.ride_id,
-            final_score=state.score(self.lambda_weight),
-            per_segment_score=state.per_segment_score(self.lambda_weight),
-            observed_length=state.observed_length,
-            started_tick=state.started_tick,
-            finished_tick=self._tick,
-            evicted=evicted,
-        )
-        if evicted:
-            self.telemetry.rides_evicted += 1
-            logger.info(
-                "evicted ride %r at tick %d (%d segments observed, score %.4f)",
-                state.ride_id, self._tick, state.observed_length,
-                self.finished[state.ride_id].final_score,
+    def _retire(self, slots: np.ndarray, evicted: bool) -> None:
+        """Keep the final records of the rides in ``slots``, then free the slots."""
+        store = self.store
+        scores = store.scores(slots, self.lambda_weight)
+        lengths = store.observed_length[slots]
+        for ride_id, score, rate, length, started in zip(
+            store.ride_ids(slots),
+            scores.tolist(),
+            (scores / lengths).tolist(),
+            lengths.tolist(),
+            store.started_tick[slots].tolist(),
+        ):
+            self.finished.pop(ride_id, None)
+            while len(self.finished) >= self.retention:
+                self.finished.popitem(last=False)
+            self.finished[ride_id] = FinishedRide(
+                ride_id=ride_id,
+                final_score=score,
+                per_segment_score=rate,
+                observed_length=length,
+                started_tick=started,
+                finished_tick=self._tick,
+                evicted=evicted,
             )
+            if evicted:
+                logger.info(
+                    "evicted ride %r at tick %d (%d segments observed, score %.4f)",
+                    ride_id, self._tick, length, score,
+                )
+        store.release(slots)
+        if evicted:
+            self.telemetry.rides_evicted += len(slots)
         else:
-            self.telemetry.rides_finished += 1
+            self.telemetry.rides_finished += len(slots)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -426,20 +478,30 @@ class FleetEngine:
         already finished, or evicted); otherwise the running Eq. (10) score
         over the segments observed so far (higher = more anomalous).
         """
-        state = self.store.get(ride_id)
-        return state.score(self.lambda_weight) if state is not None else None
+        slot = self.store.slot_of(ride_id)
+        if slot is None:
+            return None
+        return float(self.store.scores(np.array([slot]), self.lambda_weight)[0])
 
     def active_scores(self) -> Dict[str, float]:
         """Mapping ``ride_id -> cumulative score`` for every active ride."""
-        return {state.ride_id: state.score(self.lambda_weight) for state in self.store.states()}
+        slots = self.store.lru_slots()
+        scores = self.store.scores(slots, self.lambda_weight)
+        return dict(zip(self.store.ride_ids(slots), scores.tolist()))
 
     def top_k(self, k: int) -> List[Tuple[str, float]]:
-        """The ``k`` most anomalous active rides as ``(ride_id, score)``.
+        """The ``k`` most anomalous active rides as ``(ride_id, rate)``.
 
         Ranked by *per-segment* score descending, so long rides do not
-        dominate merely by accumulating more terms.
+        dominate merely by accumulating more terms; ties keep the
+        least-recently-active ride first.
         """
-        return top_k_rides(self.store.states(), k, self.lambda_weight)
+        if k <= 0:
+            raise ValueError("k must be positive")
+        slots = self.store.lru_slots()
+        rates = self.store.scores(slots, self.lambda_weight) / self.store.observed_length[slots]
+        order = np.argsort(-rates, kind="stable")[:k]
+        return list(zip(self.store.ride_ids(slots[order]), rates[order].tolist()))
 
     # ------------------------------------------------------------------ #
     # replay driver
@@ -455,11 +517,7 @@ class FleetEngine:
         for events in event_stream:
             self.ingest(events)
             self.tick()
-        while (
-            self._pending_starts
-            or self._pending_ends
-            or any(state.pending for state in self.store.states())
-        ):
+        while self._pending_starts or self._pending_ends or self.store.any_queued():
             self.tick()
         return FleetRunSummary(
             ticks=self._tick - start_tick,

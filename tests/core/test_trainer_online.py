@@ -118,6 +118,29 @@ class TestOnlineDetector:
         with pytest.raises(ValueError):
             detector.start_session(trajectory.sd_pair, first_segment=-3)
 
+    def test_session_rejects_non_integer_segment_before_updating(
+        self, trained_causal_tad, benchmark_data
+    ):
+        """A float id must raise before the hidden state advances, not after."""
+        detector = OnlineDetector(trained_causal_tad)
+        trajectory = benchmark_data.id_test.trajectories[0]
+        session = detector.start_session(trajectory.sd_pair, trajectory.segments[0])
+        session.update(trajectory.segments[1])
+        before = session.current_score
+        for bad in (2.5, float(trajectory.segments[2])):
+            with pytest.raises(TypeError):
+                session.update(bad)
+        assert session.current_score == before
+        assert session.segments == list(trajectory.segments[:2])
+        assert len(session.updates) == 1
+        # Later updates score exactly as if the bad calls never happened.
+        for segment in trajectory.segments[2:]:
+            session.update(np.int64(segment))
+        assert session.segments == list(trajectory.segments)
+        assert session.current_score == detector.final_score(trajectory)
+        with pytest.raises(TypeError):
+            detector.start_session(trajectory.sd_pair, first_segment=1.0)
+
     def test_online_update_time_independent_of_length(self, trained_causal_tad, benchmark_data):
         """The cost of update() must not grow with the number of observed segments (O(1) claim)."""
         import time

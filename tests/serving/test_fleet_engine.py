@@ -15,9 +15,8 @@ from repro.serving import (
     SessionStore,
     ThresholdAlertPolicy,
     replay_trajectories,
-    top_k_rides,
 )
-from repro.trajectory.types import SDPair
+from repro.trajectory.types import MapMatchedTrajectory, SDPair
 from repro.utils import RandomState
 
 
@@ -81,7 +80,12 @@ class TestLifecycle:
         # First tick handles the start plus one observation, every later tick
         # exactly one observation: len-1 ticks for len-1 queued segments.
         assert ticks == len(trajectory) - 1
-        assert engine.store.get("r1").segments == list(trajectory.segments)
+        state = engine.store.get("r1")
+        assert state.observed_length == len(trajectory)
+        assert state.last_segment == trajectory.segments[-1]
+        assert engine.score("r1") == pytest.approx(
+            model.score_trajectory(trajectory), rel=1e-12, abs=1e-12
+        )
 
     def test_second_run_summary_is_run_scoped(self, model, trajectories):
         """Reusing one engine across runs must not leak earlier runs' rides."""
@@ -120,6 +124,37 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             engine.submit(RideStart("r2", SDPair(0, 10**6)))
 
+    def test_non_integer_segment_ids_rejected_before_any_state_change(self, model, trajectories):
+        """A float id raises in submit() and leaves the engine as it was."""
+        trajectory = trajectories[0]
+        first, second = trajectory.segments[0], trajectory.segments[1]
+        engine = FleetEngine(model)
+        engine.submit(RideStart("a", trajectory.sd_pair, first))
+        engine.tick()
+        for bad in (second + 0.7, float(second)):
+            with pytest.raises(TypeError):
+                engine.submit(SegmentObserved("a", bad))
+        source, destination = trajectory.sd_pair.source, trajectory.sd_pair.destination
+        for bad_start in (
+            RideStart("b", SDPair(source + 0.5, destination)),
+            RideStart("b", SDPair(source, float(destination))),
+            RideStart("b", trajectory.sd_pair, first + 0.5),
+        ):
+            with pytest.raises(TypeError):
+                engine.submit(bad_start)
+        assert engine.store.get("a").pending == ()
+        assert engine.telemetry.events_dropped == 0
+        report = engine.tick()
+        assert (report.rides_started, report.segments_processed) == (0, 0)
+        assert engine.active_rides == 1 and engine.score("b") is None
+        # The rejected ride id is still free, and numpy integer ids are fine.
+        engine.submit(RideStart("b", trajectory.sd_pair, np.int64(first)))
+        engine.submit(SegmentObserved("b", np.int64(second)))
+        engine.submit(SegmentObserved("a", second))
+        engine.tick()
+        assert engine.score("b") == engine.score("a")
+        assert engine.store.get("b").last_segment == second
+
     def test_unknown_ride_events_dropped_not_fatal(self, model):
         engine = FleetEngine(model)
         engine.submit(SegmentObserved("ghost", 0))
@@ -149,12 +184,21 @@ class TestLifecycle:
         assert engine.telemetry.events_dropped == 1
         assert any("'stuck'" in record.getMessage() for record in caplog.records)
         healthy = engine.store.get("healthy")
-        assert healthy.segments == [0, 2] and not healthy.pending
+        assert healthy.observed_length == 2 and healthy.last_segment == 2
+        assert not healthy.pending
         stuck = engine.store.get("stuck")
-        assert stuck.segments == [4] and not stuck.pending
+        assert stuck.observed_length == 1 and stuck.last_segment == 4
+        assert not stuck.pending
         session = OnlineDetector(model).start_session(SDPair(0, 3), 0)
         assert engine.score("healthy") == pytest.approx(
             session.update(2).cumulative_score, rel=1e-12, abs=1e-12
+        )
+        # Once it reaches its destination, the healthy ride scores as offline.
+        engine.submit(SegmentObserved("healthy", 3))
+        engine.tick()
+        assert engine.score("healthy") == pytest.approx(
+            model.score_trajectory(MapMatchedTrajectory("healthy", (0, 2, 3))),
+            rel=1e-12, abs=1e-12,
         )
 
     def test_end_defers_until_observations_drain(self, model, trajectories):
