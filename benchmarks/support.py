@@ -139,7 +139,8 @@ def make_causal_tad_detector(config: DetectorConfig, rng: RandomState) -> Causal
     The paper (§VI-H) recommends grid-searching λ on a validation set because
     the scaling factor is an over-estimate (Eq. 6).  On the synthetic cities
     the grid search of the Fig. 8 benchmark selects a small λ, and the
-    ``center_scaling`` correction documented in DESIGN.md removes the residual
+    ``center_scaling`` correction (see "Deviations from the paper" in
+    ``docs/EXPERIMENTS.md``) removes the residual
     trajectory-length bias of the raw factor, so the benchmark suite uses
     λ = 0.05 with centred factors.  ``CausalTADConfig`` defaults remain the
     paper-faithful λ = 0.1 / uncentred.

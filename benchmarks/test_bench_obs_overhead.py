@@ -71,7 +71,7 @@ def test_bench_obs_disabled_overhead_train_and_scoring(xian_data):
     batch = data.train.encode(list(range(min(TRAIN_BATCH_SIZE, len(data.train)))))
 
     # --- the real work the hooks ride on ------------------------------- #
-    step_seconds = _best_per_call(lambda: trainer._step(batch), calls=2, rounds=5)
+    step_seconds = _best_per_call(lambda: trainer._step(batch, 0, 0), calls=2, rounds=5)
     engine = InferenceEngine(model)
     pass_seconds = _best_per_call(
         lambda: engine.decompose_dataset(data.id_test), calls=1, rounds=5
@@ -102,7 +102,7 @@ def test_bench_obs_disabled_overhead_train_and_scoring(xian_data):
     ins = trainer._instruments()
     assert ins is not None
     enabled_step_seconds = _best_per_call(
-        lambda: trainer._instrumented_step(batch, ins), calls=2, rounds=3
+        lambda: trainer._instrumented_step(batch, ins, 0, 0), calls=2, rounds=3
     )
     obs.reset(enabled=False)
 

@@ -9,7 +9,8 @@ mattering most out of distribution.
 
 An additional design-choice ablation (beyond the paper's table) toggles the
 road-constrained decoder and the SD decoder, the two architectural choices
-§V-B motivates, and the ``center_scaling`` extension documented in DESIGN.md.
+§V-B motivates, and the ``center_scaling`` extension documented under
+"Deviations from the paper" in ``docs/EXPERIMENTS.md``.
 """
 
 from __future__ import annotations

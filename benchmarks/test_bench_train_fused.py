@@ -2,8 +2,10 @@
 
 The fused training path (:mod:`repro.nn.fused`) collapses the GRU time loop,
 the embedding lookups and the (road-constrained) log-softmax/NLL loss into one
-autograd node each, with hand-derived BPTT backwards.  This benchmark gates
-the win on a CausalTAD batch of paper-realistic trajectories:
+autograd node each, with hand-derived BPTT backwards.  The per-step graph
+path it replaced is kept as a test-only reference (``tests/reference.py``).
+This benchmark gates the win on a CausalTAD batch of paper-realistic
+trajectories:
 
 * the **sequence-model training step** (TG-VAE: embedding + GRU decoder +
   masked NLL — exactly the computation the fused kernels rewired) must run at
@@ -24,6 +26,8 @@ Timing JSON is written via ``REPRO_BENCH_ARTIFACTS`` for the CI artifact.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from benchmarks.support import (
@@ -32,12 +36,13 @@ from benchmarks.support import (
     baseline_floor,
     write_timing_artifact,
 )
-from repro.core import CausalTAD, CausalTADConfig
+from repro.core import RPVAE, TGVAE, CausalTAD, CausalTADConfig
 from repro.nn import Adam, clip_grad_norm
 from repro.trajectory.dataset import encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
 from repro.utils.timing import Timer, format_duration
+from tests import reference
 
 MIN_SEQ_SPEEDUP = 3.0
 MIN_FULL_SPEEDUP = 1.5
@@ -72,26 +77,40 @@ def _training_batch(data, size, length=WALK_LENGTH):
 
 
 def _model_pair(data):
-    """Two CausalTAD models with identical weights: fused and per-step graph."""
+    """Two CausalTAD models with identical weights and random streams.
+
+    The first trains through the library's fused path, the second through
+    the per-step reference (see :data:`FUSED` / :data:`GRAPH`).
+    """
     config = CausalTADConfig.small(data.num_segments)
     fused = CausalTAD(config, network=data.city.network, rng=RandomState(BENCH_SEED))
-    graph = CausalTAD(
-        config.with_fused(False), network=data.city.network, rng=RandomState(BENCH_SEED)
-    )
+    graph = CausalTAD(config, network=data.city.network, rng=RandomState(BENCH_SEED))
     graph.load_state_dict(fused.state_dict())
     return fused, graph
+
+
+class Path(NamedTuple):
+    """One training path's forwards, each called with the model as first argument."""
+
+    tg_forward: Callable
+    rp_forward: Callable
+    joint_loss: Callable
+
+
+FUSED = Path(TGVAE.forward, RPVAE.forward, CausalTAD.forward)
+GRAPH = Path(reference.tg_vae_forward, reference.rp_vae_forward, reference.causal_tad_loss)
 
 
 def _grads(model):
     return {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
 
 
-def _one_backward(model, batch):
+def _one_backward(model, path, batch):
     """One forward/backward with deterministic latents; returns (loss, grads)."""
     model.train()
     model.zero_grad()
-    tg = model.tg_vae(batch, transition_mask=model.transition_mask, deterministic_latent=True)
-    rp = model.rp_vae(batch)
+    tg = path.tg_forward(model.tg_vae, batch, model.transition_mask, deterministic_latent=True)
+    rp = path.rp_forward(model.rp_vae, batch)
     loss = tg.loss + rp.loss
     loss.backward()
     return loss.item(), _grads(model)
@@ -122,8 +141,8 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
     fused, graph = _model_pair(xian_data)
 
     # --- gradient parity on the same batch, same weights ------------------- #
-    fused_loss, fused_grads = _one_backward(fused, batch)
-    graph_loss, graph_grads = _one_backward(graph, batch)
+    fused_loss, fused_grads = _one_backward(fused, FUSED, batch)
+    graph_loss, graph_grads = _one_backward(graph, GRAPH, batch)
     assert abs(fused_loss - graph_loss) < LOSS_ATOL
     assert set(fused_grads) == set(graph_grads)
     worst = 0.0
@@ -136,16 +155,16 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
     fused_opt = Adam(fused.tg_vae.parameters(), lr=0.01)
     graph_opt = Adam(graph.tg_vae.parameters(), lr=0.01)
 
-    def tg_step(model, optimizer):
+    def tg_step(model, path, optimizer):
         optimizer.zero_grad()
-        out = model.tg_vae(batch, transition_mask=model.transition_mask)
+        out = path.tg_forward(model.tg_vae, batch, model.transition_mask)
         out.loss.backward()
         clip_grad_norm(optimizer.parameters, 5.0)
         optimizer.step()
 
     fused.train(), graph.train()
     fused_seq, graph_seq = _interleaved_best(
-        lambda: tg_step(fused, fused_opt), lambda: tg_step(graph, graph_opt)
+        lambda: tg_step(fused, FUSED, fused_opt), lambda: tg_step(graph, GRAPH, graph_opt)
     )
     seq_speedup = graph_seq / fused_seq
 
@@ -153,15 +172,16 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
     fused_full_opt = Adam(fused.parameters(), lr=0.01)
     graph_full_opt = Adam(graph.parameters(), lr=0.01)
 
-    def full_step(model, optimizer):
+    def full_step(model, path, optimizer):
         optimizer.zero_grad()
-        out = model(batch)
+        out = path.joint_loss(model, batch)
         out.total.backward()
         clip_grad_norm(optimizer.parameters, 5.0)
         optimizer.step()
 
     fused_full, graph_full = _interleaved_best(
-        lambda: full_step(fused, fused_full_opt), lambda: full_step(graph, graph_full_opt)
+        lambda: full_step(fused, FUSED, fused_full_opt),
+        lambda: full_step(graph, GRAPH, graph_full_opt),
     )
     full_speedup = graph_full / fused_full
 
@@ -214,21 +234,21 @@ def test_bench_train_fused_loss_trajectories_match(xian_data):
     batch = _training_batch(xian_data, min(BATCH_SIZE, 24), length=48)
     fused, graph = _model_pair(xian_data)
 
-    def run(model):
+    def run(model, path):
         optimizer = Adam(model.parameters(), lr=0.01)
         model.train()
         losses = []
         for _ in range(TRAJECTORY_STEPS):
             optimizer.zero_grad()
-            out = model(batch)
+            out = path.joint_loss(model, batch)
             out.total.backward()
             clip_grad_norm(optimizer.parameters, 5.0)
             optimizer.step()
             losses.append(out.total.item())
         return losses
 
-    fused_losses = run(fused)
-    graph_losses = run(graph)
+    fused_losses = run(fused, FUSED)
+    graph_losses = run(graph, GRAPH)
     print()
     for step, (a, b) in enumerate(zip(fused_losses, graph_losses)):
         print(f"  step {step}: fused {a:.8f}  graph {b:.8f}  |Δ| {abs(a - b):.2e}")

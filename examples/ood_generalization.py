@@ -65,7 +65,8 @@ def main() -> None:
     )
     # CausalTAD with the configuration the paper recommends deriving by grid
     # search on a validation set: a small lambda, here with centred scaling
-    # factors (see DESIGN.md) so the correction is purely popular-vs-unpopular.
+    # factors (see "Deviations from the paper" in docs/EXPERIMENTS.md) so the
+    # correction is purely popular-vs-unpopular.
     from repro.core import CausalTADConfig
 
     causal_model_config = CausalTADConfig(

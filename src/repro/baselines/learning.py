@@ -3,7 +3,7 @@
 Each class pairs a :class:`~repro.baselines.seq2seq.Seq2SeqVAEModel` variant
 with the shared detector interface:
 
-* :class:`SAEDetector` — deterministic LSTM/GRU Seq2Seq autoencoder scored by
+* :class:`SAEDetector` — deterministic GRU Seq2Seq autoencoder scored by
   reconstruction error (Malhotra et al., 2016).
 * :class:`VSAEDetector` — the basic variational sequence autoencoder.
 * :class:`BetaVAEDetector` — VSAE with β-weighted KL (Higgins et al., 2017).

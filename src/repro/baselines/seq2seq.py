@@ -20,7 +20,7 @@ decoder's softmax is unconstrained by the road network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,17 +30,13 @@ from repro.nn import (
     Embedding,
     GaussianHead,
     Linear,
-    MLP,
     Module,
     Parameter,
     Tensor,
     concatenate,
     fused_masked_nll,
     gaussian_kl_standard,
-    log_softmax,
     logsumexp,
-    sequence_nll,
-    stack,
 )
 from repro.nn import init as nn_init
 from repro.trajectory.dataset import EncodedBatch
@@ -68,7 +64,8 @@ class Seq2SeqVariant:
         this numpy substrate we use the moment-matching approximation
         (penalising off-diagonal covariance of the aggregate posterior), which
         preserves the "encourage factorised representations" behaviour the
-        paper compares against.  Documented in DESIGN.md.
+        paper compares against.  Documented under "Deviations from the paper"
+        in ``docs/EXPERIMENTS.md``.
     num_mixture_components:
         > 1 activates the Gaussian-mixture prior of GM-VSAE.
     time_aware:
@@ -110,12 +107,10 @@ class Seq2SeqVAEModel(Module):
         config: DetectorConfig,
         variant: Seq2SeqVariant,
         rng: Optional[RandomState] = None,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         self.config = config
         self.variant = variant
-        self.fused = fused
         rng = get_rng(rng)
         emb_dim = config.embedding_dim
         hidden = config.hidden_dim
@@ -123,7 +118,7 @@ class Seq2SeqVAEModel(Module):
 
         self.segment_embedding = Embedding(config.vocab_size, emb_dim, rng=rng)
         encoder_input = emb_dim + (emb_dim if variant.time_aware else 0)
-        self.encoder_rnn = GRU(encoder_input, hidden, rng=rng, fused=fused)
+        self.encoder_rnn = GRU(encoder_input, hidden, rng=rng)
 
         if variant.variational:
             self.posterior_head = GaussianHead(hidden, latent, rng=rng)
@@ -133,7 +128,7 @@ class Seq2SeqVAEModel(Module):
             self.latent_to_hidden = Linear(latent, hidden, rng=rng)
 
         decoder_input = emb_dim + (emb_dim if variant.time_aware else 0)
-        self.decoder_rnn = GRU(decoder_input, hidden, rng=rng, fused=fused)
+        self.decoder_rnn = GRU(decoder_input, hidden, rng=rng)
         self.output_projection = Linear(hidden, config.num_segments, rng=rng)
 
         if variant.time_aware:
@@ -247,13 +242,7 @@ class Seq2SeqVAEModel(Module):
         decoder_inputs = self._embed_steps(batch.inputs, buckets)
         outputs, _ = self.decoder_rnn(decoder_inputs, h0=h0)
         logits = self.output_projection(outputs)
-        if self.fused:
-            per_step_nll = fused_masked_nll(logits, batch.targets, valid_mask=batch.mask)
-        else:
-            log_probs = log_softmax(logits, axis=-1)
-            per_step_nll = sequence_nll(
-                log_probs, batch.targets, mask=batch.mask, reduction="none"
-            )
+        per_step_nll = fused_masked_nll(logits, batch.targets, valid_mask=batch.mask)
         reconstruction = per_step_nll.sum(axis=1)
 
         per_trajectory = reconstruction + kl * variant.beta

@@ -22,7 +22,7 @@ scaling factor rescues unpopular road segments — is exposed through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,11 +102,11 @@ class CausalTAD(Module):
     def attach_network(self, network: RoadNetwork) -> None:
         """Attach the road network supplying the road-constrained decoding structure.
 
-        Stores the network's compiled CSR graph; the fused decoder loss, the
-        scoring paths and the serving engine all consume its O(E) successor
-        tables.  The dense ``(V, V)`` transition mask is *not* materialised —
-        it stays available through :attr:`transition_mask` as an opt-in
-        compatibility view (per-step autograd decoder, external callers).
+        Stores the network's compiled CSR graph, the model's one road
+        constraint: the decoder loss, offline scoring and the serving kernel
+        all consume its O(E) successor tables.  The dense ``(V, V)``
+        transition mask is *not* materialised — :attr:`transition_mask`
+        densifies it on request for external callers.
         """
         if network.num_segments != self.config.num_segments:
             raise ValueError(
@@ -123,31 +123,20 @@ class CausalTAD(Module):
 
     @property
     def transition_mask(self) -> Optional[np.ndarray]:
-        """Dense successor matrix (compat view; densified lazily on access)."""
+        """Dense successor matrix of the attached graph (densified lazily).
+
+        A view for external callers only; no model path reads it.
+        """
         if self._transition_mask is None and self._road_graph is not None:
             self._transition_mask = self._road_graph.transition_mask()
         return self._transition_mask
-
-    def _road_constraint(self):
-        """What the TG-VAE receives: the compiled graph when attached."""
-        return self._road_graph if self._road_graph is not None else self._transition_mask
-
-    @property
-    def fused(self) -> bool:
-        """Whether both VAEs run through the fused sequence kernels.
-
-        Controlled by ``config.fused``; build a parity-test twin with
-        ``CausalTAD(config.with_fused(False), ...)`` to get the per-step
-        autograd graph path on identical weights.
-        """
-        return self.config.fused
 
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
     def forward(self, batch: EncodedBatch) -> CausalTADLoss:
         """Joint loss of Eq. (9) for one batch."""
-        tg_out = self.tg_vae(batch, transition_mask=self._road_constraint())
+        tg_out = self.tg_vae(batch, transition_mask=self._road_graph)
         rp_out = self.rp_vae(batch)
         total = tg_out.loss + rp_out.loss
         return CausalTADLoss(total=total, tg_loss=tg_out.loss.item(), rp_loss=rp_out.loss.item())
@@ -192,7 +181,7 @@ class CausalTAD(Module):
         self.eval()
         try:
             with no_grad():
-                likelihood_term = self.tg_vae.negative_elbo(batch, self._road_constraint())
+                likelihood_term = self.tg_vae.negative_elbo(batch, self._road_graph)
                 if not use_scaling or lam == 0.0:
                     return likelihood_term
                 scaling = self.scaling_factors()
@@ -338,7 +327,7 @@ class CausalTAD(Module):
             try:
                 with no_grad():
                     output = self.tg_vae(
-                        batch, self._road_constraint(), deterministic_latent=True
+                        batch, self._road_graph, deterministic_latent=True
                     )
                     scaling = self.scaling_factors()
             finally:

@@ -10,8 +10,7 @@ dozen epochs on the synthetic cities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
 
 __all__ = ["CausalTADConfig", "TrainingConfig"]
 
@@ -55,12 +54,6 @@ class CausalTADConfig:
         signal of detour anomalies; centring keeps the *relative* popular-vs-
         unpopular correction while removing that length bias.  Off by default
         (faithful to Eq. 10); the ablation benchmark evaluates both settings.
-    fused:
-        Whether training and scoring run through the fused sequence kernels
-        (:mod:`repro.nn.fused`): single-node BPTT for the GRU decoder plus the
-        fused masked log-softmax/NLL loss.  ``False`` selects the per-step
-        autograd graph path — numerically equivalent but far slower; kept for
-        gradient-parity testing.
     """
 
     num_segments: int
@@ -73,7 +66,6 @@ class CausalTADConfig:
     road_constrained: bool = True
     use_sd_decoder: bool = True
     center_scaling: bool = False
-    fused: bool = True
 
     def __post_init__(self) -> None:
         if self.num_segments <= 1:
@@ -99,10 +91,6 @@ class CausalTADConfig:
     def with_lambda(self, lambda_weight: float) -> "CausalTADConfig":
         """A copy with a different λ (used by the Fig. 8 sweep — no retraining)."""
         return replace(self, lambda_weight=lambda_weight)
-
-    def with_fused(self, fused: bool) -> "CausalTADConfig":
-        """A copy toggling the fused sequence kernels (parity testing)."""
-        return replace(self, fused=fused)
 
     @classmethod
     def paper(cls, num_segments: int) -> "CausalTADConfig":

@@ -12,8 +12,11 @@ per λ even though λ only enters as a scalar weight at composition time.
 This module is the offline counterpart of :mod:`repro.core.scoring_kernel`
 (which vectorizes the *online* per-segment update): a pure-numpy,
 allocation-reusing batched scorer that mirrors the eval-mode forwards
-operation-for-operation.  The per-step arithmetic after the GRU is shared with
-the serving kernel (below), so offline, online and fleet step scores agree.
+operation-for-operation.  The GRU recurrence is
+:func:`repro.nn.fused.gru_unroll` — the unroll training runs, over the one
+:func:`~repro.nn.fused.gru_step` serving also calls — and the per-step
+arithmetic after the GRU is shared with the serving kernel (below), so
+offline, online and fleet step scores agree.
 
 * :class:`InferenceEngine` — scores CausalTAD batches/datasets without
   building a single Tensor.  Road-constrained batches never materialise the
@@ -46,17 +49,15 @@ the speedup.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.nn.functional import NEG_INF
-from repro.nn.fused import _sigmoid_into
+from repro.nn.fused import gru_unroll
 from repro.nn.layers import Activation, Dropout, Linear, MLP
-from repro.nn.rnn import _sigmoid_np
-from repro.roadnet.csr import CompiledRoadGraph
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -249,6 +250,26 @@ def _linear_np(layer: Linear, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Numerically stable sigmoid, bitwise equal to :meth:`Tensor.sigmoid`.
+
+    The Tensor path evaluates ``1 / (1 + exp(-c))`` for ``x >= 0`` and
+    ``exp(c) / (1 + exp(c))`` otherwise, with ``c = clip(x, -60, 60)``.  Both
+    branches share ``e = exp(-|c|)``, so this computes it once and picks each
+    element's branch with ``np.where`` — the same per-element operations,
+    hence the same bits (``min(c, -c)`` keeps a NaN's sign).  Only
+    ``Activation("sigmoid")`` needs it; GRU gates use the tanh form of
+    :func:`repro.nn.fused.gru_step`, as training does.
+    """
+    e = np.clip(x, -60, 60)
+    np.minimum(e, -e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    positive = np.divide(1.0, denom)
+    np.divide(e, denom, out=e)
+    return np.where(x >= 0, positive, e)
+
+
 def _activation_np(name: str, x: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(x, 0.0)
@@ -293,7 +314,7 @@ def _logsumexp_np(x: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
-def _gru_forward_np(
+def _gru_states(
     x_tm: np.ndarray,
     h0: np.ndarray,
     cell,
@@ -301,59 +322,30 @@ def _gru_forward_np(
     prefix: str,
     mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """GRU unroll on raw arrays, mirroring :func:`repro.nn.fused.gru_sequence`.
+    """GRU states over a time-major input, on workspace buffers.
 
-    ``x_tm`` is the time-major ``(time, batch, input_dim)`` input; returns the
-    time-major hidden states ``hs`` of shape ``(time + 1, batch, hidden)``
-    with ``hs[0] = h0`` — a workspace view, valid until the next use of
-    ``prefix`` buffers.  The op sequence (shared-sigmoid reset/update gates,
-    in-place blends, mask carry-through) is copied from the fused kernel's
-    no-graph branch, so the states are bitwise identical to the Tensor path.
+    ``x_tm`` is the ``(time, batch, input_dim)`` input; returns the states
+    ``hs`` of shape ``(time + 1, batch, hidden)`` with ``hs[0] = h0`` — a
+    workspace view, valid until the next use of ``prefix`` buffers.  The
+    input-side gates of every step come from one GEMM; the recurrence is
+    :func:`repro.nn.fused.gru_unroll`, the unroll training runs, so the states
+    are bitwise those of the Tensor path.
     """
     time, batch, _ = x_tm.shape
     hidden = h0.shape[-1]
-    w_ih, w_hh = cell.w_ih.data, cell.w_hh.data
-    b_ih, b_hh = cell.b_ih.data, cell.b_hh.data
-    H2 = 2 * hidden
-
     gates_x = ws.take(prefix + ".gx", (time * batch, 3 * hidden))
-    np.dot(x_tm.reshape(time * batch, -1), w_ih, out=gates_x)
-    gates_x += b_ih
-    gates_x = gates_x.reshape(time, batch, 3 * hidden)
-
-    keep = None if mask is None else np.asarray(mask, dtype=np.float64)
+    np.dot(x_tm.reshape(time * batch, -1), cell.w_ih.data, out=gates_x)
+    gates_x += cell.b_ih.data
     hs = ws.take(prefix + ".hs", (time + 1, batch, hidden))
     hs[0] = h0
-    rz_buf = ws.take(prefix + ".rz", (batch, H2))
-    n_buf = ws.take(prefix + ".n", (batch, hidden))
-    gh = ws.take(prefix + ".gh", (batch, 3 * hidden))
-    scratch = ws.take(prefix + ".scratch", (batch, hidden))
-
-    h = hs[0]
-    for t in range(time):
-        np.dot(h, w_hh, out=gh)
-        gh += b_hh
-        gx = gates_x[t]
-        rz = np.add(gx[:, :H2], gh[:, :H2], out=rz_buf)
-        _sigmoid_into(rz, rz)
-        r, z = rz[:, :hidden], rz[:, hidden:]
-        # The fused kernel stashes gh's candidate column for backward before
-        # multiplying; inference has no backward, so multiply it directly —
-        # the same values, one fewer copy per step.
-        n = np.multiply(r, gh[:, H2:], out=n_buf)
-        n += gx[:, H2:]
-        np.tanh(n, out=n)
-        h_new = np.subtract(1.0, z, out=hs[t + 1])
-        h_new *= n
-        np.multiply(z, h, out=scratch)
-        h_new += scratch
-        if keep is not None:
-            k = keep[:, t][:, None]
-            h_new *= k
-            np.multiply(h, 1.0 - k, out=scratch)
-            h_new += scratch
-        h = h_new
-    return hs
+    return gru_unroll(
+        gates_x.reshape(time, batch, 3 * hidden),
+        hs,
+        cell.w_hh.data,
+        cell.b_hh.data,
+        keep=None if mask is None else np.asarray(mask, dtype=np.float64),
+        take=lambda name, shape: ws.take(f"{prefix}.{name}", shape),
+    )
 
 
 def _embed_time_major(
@@ -634,7 +626,7 @@ class InferenceEngine:
             x_tm = _embed_time_major(
                 tg.segment_embedding.weight.data, batch.inputs, ws, "dec.x"
             )
-            hs = _gru_forward_np(x_tm, h0, tg.decoder_rnn.cell, ws, "dec")
+            hs = _gru_states(x_tm, h0, tg.decoder_rnn.cell, ws, "dec")
             per_step_nll = self._per_step_nll(batch, hs[1:])
             step_log_probs = -per_step_nll
             trajectory_nll = per_step_nll.sum(axis=1)
@@ -669,23 +661,18 @@ class InferenceEngine:
         config = model.config
         tg = model.tg_vae
         projection = tg.output_projection
-        constraint = model._road_constraint()
+        graph = model.road_graph
         valid = np.asarray(batch.mask, dtype=np.float64)
 
-        if constraint is not None and config.road_constrained:
+        if graph is not None and config.road_constrained:
             # Sparse road-constrained scoring through the successor-step
             # helper the serving kernel shares: the (batch, time, vocab)
             # logits never exist.
-            if isinstance(constraint, CompiledRoadGraph):
-                succ_idx, succ_valid = constraint.successor_tables()
-            else:
-                succ_idx, succ_valid = tg._successor_tables(constraint)
+            succ_idx, succ_valid = graph.successor_tables()
             inputs = batch.inputs
             padded = inputs >= config.num_segments
             safe_inputs = np.where(padded, 0, inputs)
-            target_allowed = (
-                tg._target_allowed(constraint, safe_inputs, batch.targets) | padded
-            )
+            target_allowed = graph.successors_contain(safe_inputs, batch.targets) | padded
             cand_idx = succ_idx[safe_inputs]            # (batch, time, degree)
             cand_valid = succ_valid[safe_inputs]
             degenerate = ~cand_valid.any(axis=-1)
@@ -826,7 +813,7 @@ class Seq2SeqInferenceEngine:
             batch.full_segments, self._time_buckets(batch, enc_len), "enc.x"
         )
         h0 = np.zeros((batch_size, model.encoder_rnn.hidden_dim), dtype=np.float64)
-        enc_hs = _gru_forward_np(enc_in, h0, model.encoder_rnn.cell, ws, "enc", mask=batch.full_mask)
+        enc_hs = _gru_states(enc_in, h0, model.encoder_rnn.cell, ws, "enc", mask=batch.full_mask)
         final_hidden = enc_hs[enc_len]
 
         kl = np.zeros(batch_size, dtype=np.float64)
@@ -848,7 +835,7 @@ class Seq2SeqInferenceEngine:
             dec_in = self._embed_steps_tm(
                 batch.inputs, self._time_buckets(batch, time), "dec.x"
             )
-            dec_hs = _gru_forward_np(dec_in, dec_h0, model.decoder_rnn.cell, ws, "dec")
+            dec_hs = _gru_states(dec_in, dec_h0, model.decoder_rnn.cell, ws, "dec")
             projection = model.output_projection
             vocab = projection.out_dim
             logits = ws.take("dec.logits", (time * batch_size, vocab))

@@ -21,7 +21,7 @@ the O(1) online updates of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.nn import (
     MLP,
     Module,
     Tensor,
-    cross_entropy_from_logits,
     fused_masked_nll,
     gaussian_kl_standard,
     log_softmax,
@@ -101,11 +100,8 @@ class RPVAE(Module):
         latent = self.posterior_head.sample(mu, logvar, rng=self._rng, deterministic=not self.training)
         logits = self.decode(latent)
 
-        if self.config.fused:
-            # One-node softmax cross-entropy (no (N, vocab) log-prob graph).
-            reconstruction = fused_masked_nll(logits, flat_segments)
-        else:
-            reconstruction = cross_entropy_from_logits(logits, flat_segments, reduction="none")
+        # One-node softmax cross-entropy (no (N, vocab) log-prob graph).
+        reconstruction = fused_masked_nll(logits, flat_segments)
         kl = gaussian_kl_standard(mu, logvar, reduction="none")
         per_segment = reconstruction + kl * self.config.kl_weight
         loss = per_segment.mean()

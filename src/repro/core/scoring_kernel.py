@@ -18,9 +18,12 @@ Offline scoring does not run this module: it runs the batched engine in
 after the GRU — :func:`~repro.core.inference.successor_step_nll` on
 road-constrained models and :func:`~repro.core.inference.gather_log_softmax`
 on unconstrained ones — so fleet, per-ride and offline step scores agree.
-The hot :func:`advance_sessions` path works on raw numpy arrays (via
-:meth:`GRUCell.step <repro.nn.GRUCell.step>`) and never builds autograd
-graphs; session start still runs the model's Tensor modules under
+The GRU step itself is shared with training and offline scoring too:
+:func:`advance_sessions` runs :meth:`GRUCell.step <repro.nn.GRUCell.step>`,
+one :func:`~repro.nn.fused.gru_step` on raw numpy arrays, and never builds
+autograd graphs.  The road constraint is the attached compiled graph only, so
+offline scoring and serving cannot disagree about which segments may follow
+which.  Session start still runs the model's Tensor modules under
 ``no_grad``.
 """
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from repro.core.causal_tad import CausalTAD
 from repro.core.inference import gather_log_softmax, successor_step_nll
-from repro.nn import NEG_INF, log_softmax, no_grad
+from repro.nn import log_softmax, no_grad
 
 __all__ = [
     "SessionInit",
@@ -115,11 +118,8 @@ def can_advance(model: CausalTAD, segments: np.ndarray) -> np.ndarray:
     the constrained softmax has nothing to normalise over.
     """
     segments = np.asarray(segments, dtype=np.int64)
-    if model.config.road_constrained:
-        if getattr(model, "road_graph", None) is not None:
-            return model.road_graph.successor_tables()[1][segments].any(axis=-1)
-        if model.transition_mask is not None:
-            return model.transition_mask[segments].any(axis=-1)
+    if model.config.road_constrained and model.road_graph is not None:
+        return model.road_graph.successor_tables()[1][segments].any(axis=-1)
     return np.ones(segments.shape, dtype=bool)
 
 
@@ -147,14 +147,14 @@ def advance_sessions(
         The advanced hidden states ``(batch, hidden_dim)`` and the per-ride
         step scores ``−log P(t_i | c, t_{<i})`` of shape ``(batch,)``.
 
-    With a road network attached, each ride is projected onto only its
-    current segment's successor columns through
+    The GRU step is :meth:`GRUCell.step <repro.nn.GRUCell.step>`, the
+    :func:`~repro.nn.fused.gru_step` that training and offline scoring
+    unroll.  With a road network attached, each ride is projected onto only
+    its current segment's successor columns through
     :func:`~repro.core.inference.successor_step_nll`, the helper the offline
-    engine runs, so no ``(batch, vocab)`` logits are built.  A model
-    constrained by an explicit dense mask keeps the full-logits masked
-    softmax, and an unconstrained model normalises over every segment.  Raises
-    ``ValueError`` when a road-constrained row has no successor (see
-    :func:`can_advance`).
+    engine runs, so no ``(batch, vocab)`` logits are built; an unconstrained
+    model normalises over every segment.  Raises ``ValueError`` when a
+    road-constrained row has no successor (see :func:`can_advance`).
     """
     config = model.config
     tg = model.tg_vae
@@ -167,7 +167,7 @@ def advance_sessions(
 
     embedded = tg.segment_embedding.weight.data[previous_segments]
     new_hidden = tg.decoder_rnn.cell.step(embedded, hidden)
-    if config.road_constrained and getattr(model, "road_graph", None) is not None:
+    if config.road_constrained and model.road_graph is not None:
         succ_idx, succ_valid = model.road_graph.successor_tables()
         cand_idx = succ_idx[previous_segments]
         cand_valid = succ_valid[previous_segments]
@@ -183,14 +183,6 @@ def advance_sessions(
         )
         return new_hidden, step_likelihoods
     logits = new_hidden @ projection.weight.data + projection.bias.data
-    if config.road_constrained and model.transition_mask is not None:
-        # Dense-mask compatibility path (model constrained by an explicit
-        # (V, V) matrix rather than an attached network).  road_constrained
-        # is tested first: the transition_mask property densifies lazily, and
-        # an unconstrained model must never pay for the O(V^2) view.
-        allowed = model.transition_mask[previous_segments]
-        # ``logits`` is freshly allocated above, so masking in place is safe.
-        np.copyto(logits, NEG_INF, where=~allowed)
     rows = np.arange(next_segments.shape[0])
     step_likelihoods = -gather_log_softmax(logits, rows, next_segments)
     return new_hidden, step_likelihoods

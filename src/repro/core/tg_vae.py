@@ -22,7 +22,7 @@ Its three parts, all following the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from repro.nn import (
     fused_masked_nll,
     fused_successor_nll,
     gaussian_kl_standard,
-    log_softmax,
-    masked_log_softmax,
-    sequence_nll,
 )
 from repro.nn.fused import build_successor_table
 from repro.roadnet.csr import CompiledRoadGraph
@@ -96,7 +93,7 @@ class TGVAE(Module):
 
         # Trajectory decoder Φ_t: GRU started from r.
         self.latent_to_hidden = Linear(latent, hidden, rng=rng)
-        self.decoder_rnn = GRU(emb_dim, hidden, rng=rng, fused=config.fused)
+        self.decoder_rnn = GRU(emb_dim, hidden, rng=rng)
         self.output_projection = Linear(hidden, config.num_segments, rng=rng)
 
         self._rng = rng
@@ -156,53 +153,6 @@ class TGVAE(Module):
         outputs, _ = self.decoder_rnn(embedded, h0=h0)
         return self.output_projection(outputs)
 
-    def _allowed_mask(
-        self, inputs: np.ndarray, transition_mask: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """The road-constrained prediction mask, or ``None`` when disabled.
-
-        The next segment must be a graph successor of the current input
-        segment.  Padding rows get an all-True mask (their loss contribution
-        is removed by the batch mask anyway).
-        """
-        if transition_mask is None or not self.config.road_constrained:
-            return None
-        if isinstance(transition_mask, CompiledRoadGraph):
-            # The per-step graph decoder is the dense compatibility path;
-            # densify (cached on the graph) rather than scatter per batch.
-            transition_mask = transition_mask.transition_mask()
-        safe_inputs = np.where(inputs >= self.config.num_segments, 0, inputs)
-        step_mask = transition_mask[safe_inputs]
-        return step_mask | (inputs >= self.config.num_segments)[..., None]
-
-    def decode_trajectory(
-        self,
-        latent: Tensor,
-        inputs: np.ndarray,
-        transition_mask: Optional[np.ndarray],
-    ) -> Tensor:
-        """Log-probabilities of the next segment at every decoding step.
-
-        Parameters
-        ----------
-        latent:
-            ``(batch, latent_dim)`` posterior samples.
-        inputs:
-            ``(batch, time)`` observed segments ``t_1 … t_{n-1}`` (padded).
-        transition_mask:
-            ``(num_segments, num_segments)`` boolean successor matrix, or
-            ``None`` to disable road-constrained prediction.
-
-        Returns
-        -------
-        ``(batch, time, num_segments)`` log-probabilities.
-        """
-        logits = self.decoder_logits(latent, inputs)
-        step_mask = self._allowed_mask(inputs, transition_mask)
-        if step_mask is None:
-            return log_softmax(logits, axis=-1)
-        return masked_log_softmax(logits, step_mask, axis=-1)
-
     # ------------------------------------------------------------------ #
     # full pass
     # ------------------------------------------------------------------ #
@@ -217,41 +167,32 @@ class TGVAE(Module):
         mu, logvar = self.encode_sd(batch.sources, batch.destinations)
         latent = self.sample_latent(mu, logvar, deterministic=deterministic_latent)
 
-        # Trajectory reconstruction term  Σ_i H(t̂_i, t_i).
-        if config.fused:
-            # Fused path: masked log-softmax + gather + validity masking in a
-            # single graph node; the (batch, time, vocab) log-probability
-            # tensor never enters the autograd graph.  With a road network
-            # attached the loss runs over each step's successor set only
-            # (O(degree) instead of O(vocab) per position).
-            logits = self.decoder_logits(latent, batch.inputs)
-            if transition_mask is not None and config.road_constrained:
-                succ_idx, succ_valid = self._successor_tables(transition_mask)
-                inputs = batch.inputs
-                padded = inputs >= config.num_segments
-                safe_inputs = np.where(padded, 0, inputs)
-                target_allowed = (
-                    self._target_allowed(transition_mask, safe_inputs, batch.targets) | padded
-                )
-                per_step_nll = fused_successor_nll(
-                    logits,
-                    batch.targets,
-                    succ_idx[safe_inputs],
-                    # Padding rows carry segment 0's successors; the batch
-                    # mask zeroes their loss and gradient exactly.
-                    succ_valid[safe_inputs],
-                    target_allowed,
-                    valid_mask=batch.mask,
-                )
-            else:
-                per_step_nll = fused_masked_nll(
-                    logits, batch.targets, valid_mask=batch.mask
-                )
-        else:
-            log_probs = self.decode_trajectory(latent, batch.inputs, transition_mask)
-            per_step_nll = sequence_nll(
-                log_probs, batch.targets, mask=batch.mask, reduction="none"
+        # Trajectory reconstruction term  Σ_i H(t̂_i, t_i): masked log-softmax
+        # + gather + validity masking in a single graph node, so the (batch,
+        # time, vocab) log-probability tensor never enters the autograd graph.
+        # With a road constraint the loss runs over each step's successor set
+        # only (O(degree) instead of O(vocab) per position).
+        logits = self.decoder_logits(latent, batch.inputs)
+        if transition_mask is not None and config.road_constrained:
+            succ_idx, succ_valid = self._successor_tables(transition_mask)
+            inputs = batch.inputs
+            padded = inputs >= config.num_segments
+            safe_inputs = np.where(padded, 0, inputs)
+            target_allowed = (
+                self._target_allowed(transition_mask, safe_inputs, batch.targets) | padded
             )
+            per_step_nll = fused_successor_nll(
+                logits,
+                batch.targets,
+                succ_idx[safe_inputs],
+                # Padding rows carry segment 0's successors; the batch mask
+                # zeroes their loss and gradient exactly.
+                succ_valid[safe_inputs],
+                target_allowed,
+                valid_mask=batch.mask,
+            )
+        else:
+            per_step_nll = fused_masked_nll(logits, batch.targets, valid_mask=batch.mask)
         trajectory_nll = per_step_nll.sum(axis=1)
 
         # SD reconstruction term  H(ŝ, s) + H(d̂, d).

@@ -20,11 +20,12 @@ the continuation is bit-identical to an uninterrupted run
 
 from __future__ import annotations
 
+import math
 import time
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Protocol, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -78,8 +79,27 @@ class TrainingHistory:
         }
 
 
+def _finite_loss(loss: Tensor, epoch: int, step: int) -> float:
+    """The batch loss as a float; ``FloatingPointError`` if it is not finite.
+
+    Checked before the optimiser step, so a diverged batch cannot turn every
+    parameter (and every later score) into NaN.  The message counts from 1.
+    """
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"training loss is {value} at epoch {epoch + 1}, step {step + 1} of that "
+            "epoch; stopped before the optimiser step"
+        )
+    return value
+
+
 class Trainer:
-    """Drives epochs of mini-batch optimisation for a model over a dataset."""
+    """Drives epochs of mini-batch optimisation for a model over a dataset.
+
+    A non-finite batch loss raises ``FloatingPointError`` naming the epoch
+    and the step within it.
+    """
 
     def __init__(
         self,
@@ -142,13 +162,14 @@ class Trainer:
                 epoch_losses: List[float] = []
                 ins = self._instruments()
                 with stopwatch.time("epoch"), obs.span("train/epoch", epoch=epoch):
-                    for batch in train_set.iter_batches(
+                    batches = train_set.iter_batches(
                         config.batch_size, shuffle=True, rng=self.rng, bucketing=config.bucketing
-                    ):
+                    )
+                    for step, batch in enumerate(batches):
                         if ins is None:
-                            loss_value = self._step(batch)
+                            loss_value = self._step(batch, epoch, step)
                         else:
-                            loss_value = self._instrumented_step(batch, ins)
+                            loss_value = self._instrumented_step(batch, ins, epoch, step)
                         epoch_losses.append(loss_value)
                 mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
                 self.history.train_losses.append(mean_loss)
@@ -180,12 +201,16 @@ class Trainer:
         """One epoch only (used by the training-scalability experiment)."""
         self.model.train()
         ins = self._instruments()
+        epoch = self.history.num_epochs
+        batches = dataset.iter_batches(
+            self.config.batch_size, shuffle=True, rng=self.rng, bucketing=self.config.bucketing
+        )
         with obs.span("train/epoch"):
             losses = [
-                self._step(batch) if ins is None else self._instrumented_step(batch, ins)
-                for batch in dataset.iter_batches(
-                    self.config.batch_size, shuffle=True, rng=self.rng, bucketing=self.config.bucketing
-                )
+                self._step(batch, epoch, step)
+                if ins is None
+                else self._instrumented_step(batch, ins, epoch, step)
+                for step, batch in enumerate(batches)
             ]
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         self.history.train_losses.append(mean_loss)
@@ -285,14 +310,15 @@ class Trainer:
             return 0
 
     # ------------------------------------------------------------------ #
-    def _step(self, batch: EncodedBatch) -> float:
+    def _step(self, batch: EncodedBatch, epoch: int, step: int) -> float:
         loss = self._compute_loss(batch)
+        loss_value = _finite_loss(loss, epoch, step)
         self.optimizer.zero_grad()
         loss.backward()
         if self.config.grad_clip > 0:
             clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
         self.optimizer.step()
-        return loss.item()
+        return loss_value
 
     # ------------------------------------------------------------------ #
     # observability (see docs/OBSERVABILITY.md for the metric catalog)
@@ -320,7 +346,9 @@ class Trainer:
             "epoch_loss": scope.gauge("epoch_loss"),
         }
 
-    def _instrumented_step(self, batch: EncodedBatch, ins: Dict[str, object]) -> float:
+    def _instrumented_step(
+        self, batch: EncodedBatch, ins: Dict[str, object], epoch: int, step: int
+    ) -> float:
         """Same update as :meth:`_step`, recording per-step metrics.
 
         The optimisation math is identical (clipping included), so enabling
@@ -329,12 +357,12 @@ class Trainer:
         """
         begin = time.perf_counter()
         loss = self._compute_loss(batch)
+        loss_value = _finite_loss(loss, epoch, step)
         self.optimizer.zero_grad()
         loss.backward()
         max_norm = self.config.grad_clip if self.config.grad_clip > 0 else float("inf")
         grad_norm = clip_grad_norm(self.optimizer.parameters, max_norm)
         self.optimizer.step()
-        loss_value = loss.item()
 
         ins["steps"].inc()
         ins["trajectories"].inc(batch.batch_size)

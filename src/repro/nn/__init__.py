@@ -7,13 +7,15 @@ losses and optimisers required by the paper's models and baselines:
 * :class:`Tensor` and :class:`no_grad` — the autograd core.
 * :class:`Module` / :class:`Parameter` — model containers with state dicts.
 * Layers: :class:`Linear`, :class:`Embedding`, :class:`MLP`, :class:`GRU`,
-  :class:`LSTM`, :class:`GaussianHead`.
+  :class:`GaussianHead`.
 * Losses: cross entropy (road-constrained variant via
   :func:`masked_log_softmax` + :func:`cross_entropy_from_log_probs`),
   Gaussian KL divergences, sequence NLL.
-* Fused sequence kernels (:mod:`repro.nn.fused`): single-node BPTT for
-  GRU/LSTM, fused embedding gather, dense and successor-set masked NLL,
-  fused linear/KL/reparameterisation — the training hot path.
+* Fused sequence kernels (:mod:`repro.nn.fused`): the one GRU step
+  (:func:`~repro.nn.fused.gru_step`) that training, offline scoring and
+  serving share, its single-node BPTT unroll (:func:`gru_sequence`), fused
+  embedding gather, dense and successor-set masked NLL, fused
+  linear/KL/reparameterisation — the training hot path.
 * Optimisers: :class:`SGD`, :class:`Adam` (fully in-place updates), plus
   gradient clipping.
 * Checkpoint (de)serialisation helpers.
@@ -31,7 +33,6 @@ from repro.nn.functional import (
 )
 from repro.nn.fused import (
     gru_sequence,
-    lstm_sequence,
     embedding_gather,
     fused_masked_nll,
     fused_successor_nll,
@@ -42,7 +43,7 @@ from repro.nn.fused import (
 )
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, Embedding, Dropout, Sequential, MLP, GaussianHead, Activation
-from repro.nn.rnn import GRUCell, GRU, LSTMCell, LSTM
+from repro.nn.rnn import GRUCell, GRU
 from repro.nn.losses import (
     cross_entropy_from_logits,
     cross_entropy_from_log_probs,
@@ -86,10 +87,7 @@ __all__ = [
     "Activation",
     "GRUCell",
     "GRU",
-    "LSTMCell",
-    "LSTM",
     "gru_sequence",
-    "lstm_sequence",
     "embedding_gather",
     "fused_masked_nll",
     "fused_successor_nll",

@@ -1,19 +1,23 @@
-"""Fused sequence-level autograd kernels.
+"""Fused sequence-level autograd kernels and the one GRU step.
 
-The per-step RNN path in :mod:`repro.nn.rnn` builds ~15 :class:`Tensor` graph
-nodes per timestep (gate slices, sigmoids, elementwise combines), so one
-training batch over a length-``T`` trajectory allocates thousands of nodes and
-``backward()`` walks them one by one through Python closures.  This module
-collapses each hot sequence computation into a *single* autograd node whose
-forward runs the whole time loop in raw numpy (stashing per-step activations)
-and whose backward performs hand-derived BPTT with preallocated buffers —
-the cuDNN-style fused-RNN strategy, on the numpy substrate:
+A per-step autograd RNN builds ~15 :class:`Tensor` graph nodes per timestep
+(gate slices, sigmoids, elementwise combines), so one training batch over a
+length-``T`` trajectory would allocate thousands of nodes and ``backward()``
+would walk them one by one through Python closures.  This module collapses
+each hot sequence computation into a *single* autograd node whose forward
+runs the whole time loop in raw numpy (stashing per-step activations) and
+whose backward performs hand-derived BPTT with preallocated buffers — the
+cuDNN-style fused-RNN strategy, on the numpy substrate:
 
+* :func:`gru_step` — one GRU step on raw arrays, written into caller-owned
+  buffers.  It is the only copy of the GRU arithmetic in the library:
+  :func:`gru_unroll` runs it over time for training (:func:`gru_sequence`)
+  and offline scoring (:mod:`repro.core.inference`), and
+  :meth:`GRUCell.step <repro.nn.GRUCell.step>` runs it once per serving
+  tick, so training, offline scoring and serving produce the same bits.
 * :func:`gru_sequence` — full GRU unroll ``(batch, time, in) -> (batch, time,
   hidden)`` with a single BPTT backward producing gradients for the inputs,
   the initial state and all four weight tensors.
-* :func:`lstm_sequence` — the LSTM equivalent (packed ``[h | c]`` output so
-  the cell-state gradient flows through the same node).
 * :func:`embedding_gather` — fused take + sort/``reduceat`` scatter-add
   backward, replacing the generic ``index_select`` graph node on embedding
   lookups.
@@ -21,9 +25,10 @@ the cuDNN-style fused-RNN strategy, on the numpy substrate:
   masking in one node, avoiding the ``(batch, time, vocab)`` intermediate
   graph the decoder loss otherwise materialises five times over.
 
-All kernels are numerically interchangeable with the per-step graph path
-(gradients agree to ~1e-12); the models keep that path available behind a
-``fused=False`` flag for parity testing.
+Every kernel is numerically interchangeable with the composite autograd
+formulation it replaces (gradients agree to ~1e-12); the per-step reference
+formulations live in the test suite (``tests/reference.py``), which pins the
+two together.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
 from repro.utils.arrays import pad_ragged_rows
 
 __all__ = [
+    "gru_step",
+    "gru_unroll",
     "gru_sequence",
-    "lstm_sequence",
     "embedding_gather",
     "fused_masked_nll",
     "fused_successor_nll",
@@ -84,15 +90,104 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mask_keep(mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if mask is None:
-        return None
-    return np.asarray(mask, dtype=np.float64)
+def _empty(name: str, shape: Tuple[int, ...]) -> np.ndarray:
+    """Default scratch allocator of :func:`gru_unroll` (names are ignored)."""
+    return np.empty(shape)
 
 
 # --------------------------------------------------------------------------- #
 # GRU
 # --------------------------------------------------------------------------- #
+def gru_step(
+    gx: np.ndarray,
+    h: np.ndarray,
+    w_hh: np.ndarray,
+    b_hh: np.ndarray,
+    out: np.ndarray,
+    rz: np.ndarray,
+    n: np.ndarray,
+    gh: np.ndarray,
+    tmp: np.ndarray,
+    keep: Optional[np.ndarray] = None,
+    nh: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """One GRU step on raw arrays, written into ``out`` ``(batch, hidden)``.
+
+    ``gx`` is the step's input-side gates ``x W_ih + b_ih`` ``(batch, 3H)``,
+    columns ``[reset | update | candidate]``; ``h`` the previous state::
+
+        r, z = sigmoid(gx[:, :2H] + (h W_hh + b_hh)[:, :2H])
+        n = tanh(gx[:, 2H:] + r * (h W_hh + b_hh)[:, 2H:])
+        h' = (1 - z) * n + z * h
+
+    ``rz`` ``(batch, 2H)`` receives both gates, ``n`` the candidate; ``gh``
+    ``(batch, 3H)`` and ``tmp`` are scratch.  Where the optional float
+    ``keep`` ``(batch, 1)`` is 0 the state carries through unchanged.  ``nh``,
+    if given, receives the hidden-side candidate gate, which BPTT needs.
+    Nothing is allocated but the mask complement.
+    """
+    hidden = h.shape[-1]
+    H2 = 2 * hidden
+    np.dot(h, w_hh, out=gh)
+    gh += b_hh
+    # Reset and update gates share one sigmoid over (batch, 2H).
+    np.add(gx[:, :H2], gh[:, :H2], out=rz)
+    _sigmoid_into(rz, rz)
+    r, z = rz[:, :hidden], rz[:, hidden:]
+    candidate_h = gh[:, H2:]
+    if nh is not None:
+        nh[:] = candidate_h
+        candidate_h = nh
+    np.multiply(r, candidate_h, out=n)
+    n += gx[:, H2:]
+    np.tanh(n, out=n)
+    # h' = (1 - z) * n + z * h, blended through the mask if present.
+    np.subtract(1.0, z, out=out)
+    out *= n
+    np.multiply(z, h, out=tmp)
+    out += tmp
+    if keep is not None:
+        out *= keep
+        np.multiply(h, 1.0 - keep, out=tmp)
+        out += tmp
+    return out
+
+
+def gru_unroll(
+    gates_x: np.ndarray,
+    hs: np.ndarray,
+    w_hh: np.ndarray,
+    b_hh: np.ndarray,
+    keep: Optional[np.ndarray] = None,
+    stash: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    take: Callable[[str, Tuple[int, ...]], np.ndarray] = _empty,
+) -> np.ndarray:
+    """Run :func:`gru_step` over a time-major sequence; returns ``hs``.
+
+    ``gates_x`` is ``(time, batch, 3H)``; ``hs`` ``(time + 1, batch, H)``
+    holds the initial state in ``hs[0]`` and receives the state after step
+    ``t`` in ``hs[t + 1]``.  ``keep`` is an optional float ``(batch, time)``
+    validity mask.  ``stash``, optional ``(rz, n, nh)`` arrays of shape
+    ``(time, batch, ·)``, receives each step's activations for BPTT; without
+    it the steps share one scratch set, allocated by ``take(name, shape)``
+    (the inference engine passes its reusable workspace).
+    """
+    time, batch, _ = gates_x.shape
+    hidden = hs.shape[-1]
+    gh = take("gh", (batch, 3 * hidden))
+    tmp = take("scratch", (batch, hidden))
+    nh = None
+    if stash is None:
+        rz = take("rz", (batch, 2 * hidden))
+        n = take("n", (batch, hidden))
+    for t in range(time):
+        if stash is not None:
+            rz, n, nh = stash[0][t], stash[1][t], stash[2][t]
+        k = None if keep is None else keep[:, t][:, None]
+        gru_step(gates_x[t], hs[t], w_hh, b_hh, hs[t + 1], rz, n, gh, tmp, keep=k, nh=nh)
+    return hs
+
+
 def gru_sequence(
     x: Tensor,
     h0: Tensor,
@@ -104,14 +199,9 @@ def gru_sequence(
 ) -> Tuple[Tensor, Tensor]:
     """Run a full GRU unroll as one autograd node.
 
-    Semantics match :class:`repro.nn.rnn.GRUCell` step-for-step::
-
-        r = sigmoid(x W_xr + h W_hr + b_r)
-        z = sigmoid(x W_xz + h W_hz + b_z)
-        n = tanh(x W_xn + r * (h W_hn + b_n))
-        h' = (1 - z) * n + z * h
-
-    with masked positions carrying the hidden state through unchanged.
+    The forward is :func:`gru_unroll` (see :func:`gru_step` for the
+    arithmetic), with masked positions carrying the hidden state through
+    unchanged; the backward is hand-derived BPTT over the stashed gates.
 
     Parameters
     ----------
@@ -142,53 +232,30 @@ def gru_sequence(
     gates_x = (x_tm.reshape(time * batch, -1) @ w_ih.data + b_ih.data).reshape(
         time, batch, 3 * hidden
     )
-    keep = _mask_keep(mask)
+    keep = None if mask is None else np.asarray(mask, dtype=np.float64)
     record = _needs_graph(x, h0, w_ih, w_hh, b_ih, b_hh)
-    w_hh_arr, b_hh_arr = w_hh.data, b_hh.data
+    w_hh_arr = w_hh.data
     H2 = 2 * hidden
 
     hs = np.empty((time + 1, batch, hidden))
     hs[0] = h0.data
-    # Per-step activation stash (reset/update packed together) plus reusable
-    # scratch; when no graph is recorded the stash rows alias one scratch slab.
-    stash_len = time if record else 1
-    rz_all = np.empty((stash_len, batch, H2))
-    n_all = np.empty((stash_len, batch, hidden))
-    nh_all = np.empty((stash_len, batch, hidden))
-    gh = np.empty((batch, 3 * hidden))
-    scratch = np.empty((batch, hidden))
-    h = hs[0]
-    for t in range(time):
-        s = t if record else 0
-        np.dot(h, w_hh_arr, out=gh)
-        gh += b_hh_arr
-        gx = gates_x[t]
-        # Reset and update gates share one sigmoid over (batch, 2H).
-        rz = np.add(gx[:, :H2], gh[:, :H2], out=rz_all[s])
-        _sigmoid_into(rz, rz)
-        r, z = rz[:, :hidden], rz[:, hidden:]
-        nh = nh_all[s]
-        nh[:] = gh[:, H2:]
-        n = np.multiply(r, nh, out=n_all[s])
-        n += gx[:, H2:]
-        np.tanh(n, out=n)
-        # h_new = (1 - z) * n + z * h, blended through the mask if present.
-        h_new = np.subtract(1.0, z, out=hs[t + 1])
-        h_new *= n
-        np.multiply(z, h, out=scratch)
-        h_new += scratch
-        if keep is not None:
-            k = keep[:, t][:, None]
-            h_new *= k
-            np.multiply(h, 1.0 - k, out=scratch)
-            h_new += scratch
-        h = h_new
+    stash = None
+    if record:
+        # Per-step activations for BPTT: reset/update packed together, the
+        # candidate and the hidden-side candidate gate.
+        stash = (
+            np.empty((time, batch, H2)),
+            np.empty((time, batch, hidden)),
+            np.empty((time, batch, hidden)),
+        )
+    gru_unroll(gates_x, hs, w_hh_arr, b_hh.data, keep=keep, stash=stash)
 
     outputs_data = hs[1:].transpose(1, 0, 2).copy()
 
     if not record:
         outputs = Tensor(outputs_data)
         return outputs, Tensor(outputs_data[:, -1, :])
+    rz_all, n_all, nh_all = stash
 
     def backward(grad: np.ndarray):
         # grad: (batch, time, hidden) — includes any h_n gradient routed in by
@@ -264,144 +331,6 @@ def gru_sequence(
     outputs = _node(outputs_data, (x, h0, w_ih, w_hh, b_ih, b_hh), backward)
     h_n = outputs[:, -1, :]
     return outputs, h_n
-
-
-# --------------------------------------------------------------------------- #
-# LSTM
-# --------------------------------------------------------------------------- #
-def lstm_sequence(
-    x: Tensor,
-    h0: Tensor,
-    c0: Tensor,
-    w_ih: Tensor,
-    w_hh: Tensor,
-    bias: Tensor,
-    mask: Optional[np.ndarray] = None,
-) -> Tuple[Tensor, Tuple[Tensor, Tensor]]:
-    """Run a full LSTM unroll as one autograd node.
-
-    Semantics match :class:`repro.nn.rnn.LSTMCell` (gate columns ordered
-    ``[input | forget | cell | output]``).  Internally the node's payload packs
-    hidden and cell states side by side — ``(batch, time, 2 * hidden)`` — so a
-    gradient arriving on the final cell state flows through the same BPTT pass
-    as the hidden-state gradients; the caller-facing views (``outputs``,
-    ``h_n``, ``c_n``) are cheap slice nodes.
-    """
-    x, h0, c0 = as_tensor(x), as_tensor(h0), as_tensor(c0)
-    batch, time, _ = x.shape
-    hidden = h0.shape[-1]
-    if time == 0:
-        raise ValueError("lstm_sequence requires at least one timestep")
-
-    x_tm = np.ascontiguousarray(x.data.transpose(1, 0, 2))
-    gates_x = (x_tm.reshape(time * batch, -1) @ w_ih.data + bias.data).reshape(
-        time, batch, 4 * hidden
-    )
-    keep = _mask_keep(mask)
-    record = _needs_graph(x, h0, c0, w_ih, w_hh, bias)
-    w_hh_arr = w_hh.data
-    H2, H3 = 2 * hidden, 3 * hidden
-
-    hs = np.empty((time + 1, batch, hidden))
-    cs = np.empty((time + 1, batch, hidden))
-    hs[0], cs[0] = h0.data, c0.data
-    stash_len = time if record else 1
-    # Gate stash packed [i | f | g | o] per step, plus tanh(c) for backward.
-    gates_all = np.empty((stash_len, batch, 4 * hidden))
-    tc_all = np.empty((stash_len, batch, hidden))
-    gbuf = np.empty((batch, 4 * hidden))
-    scratch = np.empty((batch, hidden))
-    h, c = hs[0], cs[0]
-    for t in range(time):
-        s = t if record else 0
-        gates = np.dot(h, w_hh_arr, out=gbuf)
-        gates += gates_x[t]
-        act = gates_all[s]
-        _sigmoid_into(gates[:, :H2], act[:, :H2])
-        np.tanh(gates[:, H2:H3], out=act[:, H2:H3])
-        _sigmoid_into(gates[:, H3:], act[:, H3:])
-        i, f = act[:, :hidden], act[:, hidden:H2]
-        g, o = act[:, H2:H3], act[:, H3:]
-        c_new = np.multiply(f, c, out=cs[t + 1])
-        np.multiply(i, g, out=scratch)
-        c_new += scratch
-        tc = np.tanh(c_new, out=tc_all[s])
-        h_new = np.multiply(o, tc, out=hs[t + 1])
-        if keep is not None:
-            k = keep[:, t][:, None]
-            inv = 1.0 - k
-            h_new *= k
-            np.multiply(h, inv, out=scratch)
-            h_new += scratch
-            c_new *= k
-            np.multiply(c, inv, out=scratch)
-            c_new += scratch
-            # The stashed tanh(c) must describe the *pre-mask* cell state; it
-            # already does (tc was taken before blending).
-        h, c = h_new, c_new
-
-    packed_data = np.concatenate([hs[1:], cs[1:]], axis=2).transpose(1, 0, 2).copy()
-
-    if not record:
-        packed = Tensor(packed_data)
-        outputs = Tensor(packed_data[:, :, :hidden])
-        return outputs, (Tensor(packed_data[:, -1, :hidden]), Tensor(packed_data[:, -1, hidden:]))
-
-    def backward(grad: np.ndarray):
-        # grad: (batch, time, 2 * hidden) — [:, :, :H] is the hidden-state
-        # gradient per step, [:, :, H:] the (usually sparse) cell gradient.
-        grad_tm = grad.transpose(1, 0, 2)
-        dh = np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden))
-        gx_grad = np.empty((time, batch, 4 * hidden))
-        w_hh_t = np.ascontiguousarray(w_hh_arr.T)
-        for t in range(time - 1, -1, -1):
-            dht = grad_tm[t][:, :hidden] + dh
-            dct = grad_tm[t][:, hidden:] + dc
-            if keep is not None:
-                k = keep[:, t][:, None]
-                dh_new = dht * k
-                dh = dht * (1.0 - k)
-                dc_new = dct * k
-                dc = dct * (1.0 - k)
-            else:
-                dh_new, dc_new = dht, dct
-                dh = np.zeros((batch, hidden))
-                dc = np.zeros((batch, hidden))
-            act = gates_all[t]
-            i, f = act[:, :hidden], act[:, hidden:H2]
-            g, o = act[:, H2:H3], act[:, H3:]
-            tc = tc_all[t]
-            c_prev = cs[t]
-            h_prev = hs[t]
-            dc_total = dc_new + dh_new * o * (1.0 - tc * tc)
-            slab = gx_grad[t]
-            slab[:, :hidden] = dc_total * g * i * (1.0 - i)
-            slab[:, hidden:H2] = dc_total * c_prev * f * (1.0 - f)
-            slab[:, H2:H3] = dc_total * i * (1.0 - g * g)
-            slab[:, H3:] = dh_new * tc * o * (1.0 - o)
-            dc += dc_total * f
-            dh += slab @ w_hh_t
-        # Weight/bias/input gradients batched over all timesteps at once.
-        gx_2d = gx_grad.reshape(time * batch, 4 * hidden)
-        dw_hh = hs[:-1].reshape(time * batch, hidden).T @ gx_2d
-        dw_ih = x_tm.reshape(time * batch, -1).T @ gx_2d
-        dbias = gx_2d.sum(axis=0)
-        dx = (gx_2d @ w_ih.data.T).reshape(time, batch, -1).transpose(1, 0, 2)
-        return [
-            (x, dx),
-            (h0, dh),
-            (c0, dc),
-            (w_ih, dw_ih),
-            (w_hh, dw_hh),
-            (bias, dbias),
-        ]
-
-    packed = _node(packed_data, (x, h0, c0, w_ih, w_hh, bias), backward)
-    outputs = packed[:, :, :hidden]
-    h_n = packed[:, -1, :hidden]
-    c_n = packed[:, -1, hidden:]
-    return outputs, (h_n, c_n)
 
 
 # --------------------------------------------------------------------------- #

@@ -361,9 +361,8 @@ class CompiledRoadGraph:
         """Dense boolean ``(V, V)`` successor matrix (cached).
 
         This densification is the *opt-in compatibility path* — O(V²) memory —
-        kept for the per-step autograd decoder (``fused=False``) and for
-        external consumers of the historical API.  Hot paths use
-        :meth:`successor_tables` / :attr:`succ_indices` instead.
+        kept for external consumers of the historical API.  No model path
+        reads it: they use :meth:`successor_tables` / :attr:`succ_indices`.
         """
         if self._dense_mask is None:
             mask = np.zeros((self.num_segments, self.num_segments), dtype=bool)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -289,8 +289,7 @@ class RoadNetwork:
         the *opt-in compatibility path*: the road-constrained models and the
         serving engine consume the compiled graph's CSR successor tables
         directly (:meth:`~repro.roadnet.csr.CompiledRoadGraph.successor_tables`),
-        and only the per-step autograd decoder (``fused=False``) and external
-        consumers of the historical API still densify.
+        and only external consumers of the historical API still densify.
         """
         return self.compiled().transition_mask()
 

@@ -2,9 +2,9 @@
 
 The numpy engine (``repro/core/inference.py``) must reproduce the autograd
 Tensor path bit-tight (≤ 1e-12) across every scoring configuration the
-models support: road-constrained and unconstrained decoding, fused and
-per-step graph reference paths, padded batches containing zero-prediction
-rows, the λ grid, and the full Seq2Seq baseline family.  It also pins the
+models support: road-constrained and unconstrained decoding, the fused
+Tensor path and the per-step reference of ``tests/reference.py``, padded
+batches containing zero-prediction rows, the λ grid, and the full Seq2Seq baseline family.  It also pins the
 decomposition contract — summing the pieces reproduces ``score_batch`` — and
 the ``Seq2SeqDetector.score`` train/eval-mode restoration fix.
 """
@@ -35,6 +35,7 @@ from repro.core.inference import Workspace, _length_sorted_batches
 from repro.trajectory.dataset import TrajectoryDataset, encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
+from tests import reference
 
 PARITY_ATOL = 1e-12
 LAMBDAS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
@@ -84,14 +85,17 @@ def _model_for(benchmark_data, config: CausalTADConfig, attach: bool = True) -> 
 def test_score_batch_parity_all_configs(
     benchmark_data, mixed_dataset, fused, road_constrained
 ):
+    """The numpy engine against the fused Tensor path and the per-step reference."""
     config = dataclasses.replace(
         CausalTADConfig.tiny(benchmark_data.num_segments),
-        fused=fused,
         road_constrained=road_constrained,
     )
     model = _model_for(benchmark_data, config)
     batch = mixed_dataset.encode(range(24))
-    graph = model.score_batch(batch, engine="graph")
+    if fused:
+        graph = model.score_batch(batch, engine="graph")
+    else:
+        graph = reference.causal_tad_scores(model, batch)
     numpy_scores = model.score_batch(batch, engine="numpy")
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 

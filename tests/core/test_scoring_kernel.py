@@ -8,6 +8,8 @@ against ``sd_nll + kl`` and each step's likelihood against
 ``-step_log_probs``, to 1e-12 relative.  Covered: road-constrained,
 unconstrained and SD-decoder-free models, a non-unit ``kl_weight``, and one
 non-successor transition (scored through ``NEG_INF`` on constrained models).
+Underneath, serving, offline scoring and training run one GRU step, which the
+last test pins bit for bit.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro.core import CausalTAD, CausalTADConfig
-from repro.core.inference import InferenceEngine
+from repro.core.inference import InferenceEngine, Workspace, _gru_states
 from repro.core.scoring_kernel import advance_sessions, init_session_states
-from repro.nn import NEG_INF
+from repro.nn import NEG_INF, Tensor, no_grad
 from repro.trajectory.dataset import encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
@@ -89,3 +91,42 @@ def test_kernel_steps_match_offline_decomposition(model, trajectories, benchmark
         assert off_road_step >= -NEG_INF / 2  # scored through the NEG_INF sentinel
     else:
         assert off_road_step < -NEG_INF / 2
+
+
+@pytest.mark.parametrize("rows", [1, 1000])
+def test_serving_offline_and_training_share_one_gru_step(benchmark_data, rows):
+    """``GRUCell.step`` as serving calls it is bitwise one step of the others.
+
+    The others: the training kernel ``gru_sequence`` with and without an
+    autograd graph, and the offline engine's unroll, on the same rows.  Rows
+    masked out of the sequence step must carry their state unchanged.
+    """
+    model = CausalTAD(
+        CausalTADConfig.tiny(benchmark_data.num_segments),
+        network=benchmark_data.city.network,
+        rng=RandomState(19),
+    )
+    gru = model.tg_vae.decoder_rnn
+    gen = np.random.default_rng(rows)
+    gru.cell.b_ih.data[:] = gen.normal(size=gru.cell.b_ih.data.shape)
+    gru.cell.b_hh.data[:] = gen.normal(size=gru.cell.b_hh.data.shape)
+    # Embedding rows gathered by segment id, as advance_sessions does.
+    segments = gen.integers(0, benchmark_data.num_segments, size=rows)
+    x = model.tg_vae.segment_embedding.weight.data[segments]
+    h = np.tanh(gen.normal(scale=2.0, size=(rows, gru.hidden_dim)))
+    keep = gen.random(rows) > 0.3
+    keep[0] = True
+    served = np.where(keep[:, None], gru.cell.step(x, h), h)
+
+    mask = keep[:, None]
+    with no_grad():
+        _, no_graph = gru(Tensor(x[:, None, :]), h0=Tensor(h), mask=mask)
+    _, with_graph = gru(Tensor(x[:, None, :], requires_grad=True), h0=Tensor(h), mask=mask)
+    assert with_graph.requires_grad
+    engine = _gru_states(x[None], h, gru.cell, Workspace(), "dec", mask=mask)[1]
+    for label, other in (
+        ("gru_sequence without graph", no_graph.data),
+        ("gru_sequence with graph", with_graph.data),
+        ("inference engine", engine),
+    ):
+        np.testing.assert_array_equal(served.view(np.uint64), other.view(np.uint64), err_msg=label)

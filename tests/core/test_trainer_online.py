@@ -76,6 +76,63 @@ class TestTrainer:
             trainer.fit(benchmark_data.train)
 
 
+@pytest.fixture(scope="module")
+def grid_walks():
+    """A 4×4 grid city and a dataset of 24 random road walks on it."""
+    from repro.roadnet import generate_grid_city
+    from repro.trajectory.dataset import TrajectoryDataset
+    from repro.trajectory.types import MapMatchedTrajectory
+
+    network = generate_grid_city(4, 4)
+    transition = network.transition_mask()
+    rng = np.random.default_rng(3)
+    walks = []
+    for ride in range(24):
+        segments = [int(rng.integers(network.num_segments))]
+        while len(segments) < 8:
+            segments.append(int(rng.choice(np.flatnonzero(transition[segments[-1]]))))
+        walks.append(MapMatchedTrajectory(trajectory_id=f"w{ride}", segments=segments))
+    return network, TrajectoryDataset.from_trajectories(walks, network.num_segments)
+
+
+# The diverging run overflows on purpose; numpy's warnings about it are noise.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteLoss:
+    """A diverging run stops with a named error instead of NaN parameters."""
+
+    DIVERGING = TrainingConfig(epochs=3, batch_size=8, learning_rate=1e9, grad_clip=0.0)
+
+    def _trainer(self, network):
+        model = CausalTAD(
+            CausalTADConfig.tiny(network.num_segments), network=network, rng=RandomState(0)
+        )
+        return model, Trainer(model, self.DIVERGING, rng=RandomState(1))
+
+    @pytest.mark.parametrize("metrics", [False, True], ids=["plain", "instrumented"])
+    def test_fit_raises_before_the_optimiser_step(self, grid_walks, metrics):
+        from repro import obs
+
+        network, dataset = grid_walks
+        model, trainer = self._trainer(network)
+        obs.reset(enabled=metrics)
+        try:
+            with pytest.raises(FloatingPointError, match=r"epoch \d+, step \d+"):
+                trainer.fit(dataset)
+        finally:
+            obs.reset(enabled=False)
+        # The failing step never reached the optimiser: every parameter is
+        # still finite, and so is every loss the history recorded.
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+        assert np.isfinite(trainer.history.train_losses).all()
+
+    def test_train_one_epoch_raises(self, grid_walks):
+        network, dataset = grid_walks
+        _, trainer = self._trainer(network)
+        with pytest.raises(FloatingPointError, match="epoch"):
+            for _ in range(self.DIVERGING.epochs):
+                trainer.train_one_epoch(dataset)
+
+
 class TestOnlineDetector:
     def test_online_matches_offline_score(self, trained_causal_tad, benchmark_data):
         detector = OnlineDetector(trained_causal_tad)

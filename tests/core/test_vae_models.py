@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import CausalTADConfig, RPVAE, TGVAE
 from repro.nn import NEG_INF
+from repro.trajectory.dataset import encode_batch
+from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
 
 
@@ -18,6 +20,24 @@ def small_batch(benchmark_data):
 @pytest.fixture(scope="module")
 def model_config(benchmark_data):
     return CausalTADConfig.tiny(benchmark_data.num_segments)
+
+
+@pytest.fixture(scope="module")
+def jump_batch(benchmark_data):
+    """Two trajectories, the second with one jump to a non-successor segment.
+
+    Returns ``(batch, row, step)``: the prediction position whose target is
+    not a graph successor of its input (the step after it may leave the
+    road too).
+    """
+    transition = benchmark_data.city.network.transition_mask()
+    first, second = (item.trajectory for item in benchmark_data.train.items[:2])
+    segments = list(second.segments)
+    jump = 2
+    segments[jump] = int(np.flatnonzero(~transition[segments[jump - 1]])[0])
+    jumped = MapMatchedTrajectory(trajectory_id="jump", segments=segments)
+    batch = encode_batch([first, jumped], benchmark_data.num_segments)
+    return batch, 1, jump - 1
 
 
 class TestTGVAE:
@@ -40,25 +60,22 @@ class TestTGVAE:
         # The SD decoder and all embeddings must receive gradients.
         assert not missing, f"parameters without gradient: {missing}"
 
-    def test_road_constraint_masks_non_successors(self, model_config, benchmark_data, small_batch):
+    def test_road_constraint_masks_non_successors(self, model_config, jump_batch, benchmark_data):
+        batch, row, step = jump_batch
+        network = benchmark_data.city.network
+        transition = network.transition_mask()
+        valid = batch.mask
+        on_road = transition[batch.inputs[valid], batch.targets[valid]]
+        assert not transition[batch.inputs[row, step], batch.targets[row, step]]
         model = TGVAE(model_config, rng=RandomState(0))
-        mask = benchmark_data.city.network.transition_mask()
-        latent = model.sample_latent(
-            *model.encode_sd(small_batch.sources, small_batch.destinations), deterministic=True
-        )
-        log_probs = model.decode_trajectory(latent, small_batch.inputs, mask)
-        # Log-probability of a non-successor must be (near) -inf.
-        inputs = small_batch.inputs
-        data = log_probs.data
-        for row in range(2):
-            for step in range(inputs.shape[1]):
-                if not small_batch.mask[row, step]:
-                    continue
-                current = inputs[row, step]
-                disallowed = np.where(~mask[current])[0]
-                assert (data[row, step, disallowed] <= NEG_INF / 2).all()
+        for constraint in (transition, network.compiled()):
+            log_probs = model(batch, constraint, deterministic_latent=True).step_log_probs
+            # Log-probability of a non-successor must be (near) -inf, and only
+            # of a non-successor.
+            np.testing.assert_array_equal(log_probs[valid] <= NEG_INF / 2, ~on_road)
 
-    def test_unconstrained_when_disabled(self, benchmark_data, small_batch):
+    def test_unconstrained_when_disabled(self, benchmark_data, jump_batch):
+        batch, row, step = jump_batch
         config = CausalTADConfig.tiny(benchmark_data.num_segments)
         config = CausalTADConfig(
             num_segments=config.num_segments,
@@ -68,15 +85,12 @@ class TestTGVAE:
             road_constrained=False,
         )
         model = TGVAE(config, rng=RandomState(0))
-        log_probs = model.decode_trajectory(
-            model.sample_latent(
-                *model.encode_sd(small_batch.sources, small_batch.destinations), deterministic=True
-            ),
-            small_batch.inputs,
-            benchmark_data.city.network.transition_mask(),
+        output = model(
+            batch, benchmark_data.city.network.transition_mask(), deterministic_latent=True
         )
-        # All probabilities finite (no masking applied).
-        assert (log_probs.data > NEG_INF / 2).all()
+        # All probabilities finite (no masking applied), the jump included.
+        assert (output.step_log_probs[batch.mask] > NEG_INF / 2).all()
+        assert output.step_log_probs[row, step] < 0.0
 
     def test_sd_decoder_can_be_disabled(self, benchmark_data, small_batch):
         config = CausalTADConfig(

@@ -1,10 +1,11 @@
 """Gradient-parity suite: fused sequence kernels vs the per-step graph path.
 
 Every kernel in :mod:`repro.nn.fused` promises to be numerically
-interchangeable with the composite autograd formulation it replaces.  These
-tests drive both paths from identical inputs/weights over random shapes —
-including ragged masks and rows with zero valid steps — and require forward
-values and every gradient to agree to tight absolute tolerance.
+interchangeable with the composite autograd formulation it replaces (kept in
+``tests/reference.py``).  These tests drive both paths from identical
+inputs/weights over random shapes — including ragged masks and rows with zero
+valid steps — and require forward values and every gradient to agree to
+tight absolute tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 
 from repro.nn import (
     GRU,
-    LSTM,
     Tensor,
     build_successor_table,
     fused_gaussian_kl,
@@ -29,6 +29,7 @@ from repro.nn import (
 )
 from repro.nn.layers import Embedding
 from repro.utils.rng import RandomState
+from tests import reference
 
 ATOL = 1e-9
 
@@ -38,14 +39,17 @@ def assert_close(actual, expected, label=""):
 
 
 # --------------------------------------------------------------------------- #
-# GRU / LSTM
+# GRU
 # --------------------------------------------------------------------------- #
 def _run_gru(gru, fused, x_data, h0_data, mask, out_mult, hn_mult):
     for p in gru.parameters():
         p.zero_grad()
     x = Tensor(x_data, requires_grad=True)
     h0 = Tensor(h0_data, requires_grad=True)
-    outputs, h_n = gru(x, h0=h0, mask=mask, fused=fused)
+    if fused:
+        outputs, h_n = gru(x, h0=h0, mask=mask)
+    else:
+        outputs, h_n = reference.gru_forward(gru, x, h0=h0, mask=mask)
     loss = (outputs * Tensor(out_mult)).sum() + (h_n * Tensor(hn_mult)).sum()
     loss.backward()
     grads = {name: p.grad.copy() for name, p in gru.named_parameters()}
@@ -99,7 +103,8 @@ class TestGRUSequenceParity:
         np.testing.assert_allclose(outputs.data[:, -1, :], h_n.data)
 
     def test_direct_kernel_rejects_empty_time(self):
-        cell = GRU(3, 4, rng=RandomState(2)).cell
+        gru = GRU(3, 4, rng=RandomState(2))
+        cell = gru.cell
         with pytest.raises(ValueError):
             gru_sequence(
                 Tensor(np.zeros((2, 0, 3))),
@@ -109,47 +114,8 @@ class TestGRUSequenceParity:
                 cell.b_ih,
                 cell.b_hh,
             )
-
-
-class TestLSTMSequenceParity:
-    @pytest.mark.parametrize("mask_case", MASK_CASES)
-    def test_matches_per_step_graph(self, mask_case):
-        rng = np.random.default_rng(5)
-        batch, time, in_dim, hidden = 3, 8, 4, 5
-        lstm = LSTM(in_dim, hidden, rng=RandomState(3))
-        x = rng.normal(size=(batch, time, in_dim))
-        h0 = rng.normal(size=(batch, hidden))
-        c0 = rng.normal(size=(batch, hidden))
-        mask = _make_mask(mask_case, rng, batch, time)
-        mults = [
-            rng.normal(size=(batch, time, hidden)),
-            rng.normal(size=(batch, hidden)),
-            rng.normal(size=(batch, hidden)),
-        ]
-
-        def run(fused):
-            for p in lstm.parameters():
-                p.zero_grad()
-            xt = Tensor(x, requires_grad=True)
-            h = Tensor(h0, requires_grad=True)
-            c = Tensor(c0, requires_grad=True)
-            outputs, (h_n, c_n) = lstm(xt, state=(h, c), mask=mask, fused=fused)
-            loss = (
-                (outputs * Tensor(mults[0])).sum()
-                + (h_n * Tensor(mults[1])).sum()
-                + (c_n * Tensor(mults[2])).sum()
-            )
-            loss.backward()
-            grads = {name: p.grad.copy() for name, p in lstm.named_parameters()}
-            return outputs.data, h_n.data, c_n.data, xt.grad, h.grad, c.grad, grads
-
-        ref, got = run(False), run(True)
-        for label, a, b in zip(
-            ("outputs", "h_n", "c_n", "dx", "dh0", "dc0"), ref[:6], got[:6]
-        ):
-            assert_close(b, a, label)
-        for name in ref[6]:
-            assert_close(got[6][name], ref[6][name], name)
+        with pytest.raises(ValueError):
+            gru(Tensor(np.zeros((2, 0, 3))))
 
 
 # --------------------------------------------------------------------------- #
@@ -384,15 +350,16 @@ class TestFusedPrimitivesParity:
 # --------------------------------------------------------------------------- #
 class TestModelLevelParity:
     def test_causal_tad_gradients_match(self):
-        from repro.core import CausalTAD, CausalTADConfig
+        from repro.core import RPVAE, TGVAE, CausalTAD, CausalTADConfig
         from repro.roadnet import generate_grid_city
         from repro.trajectory.dataset import encode_batch
         from repro.trajectory.types import MapMatchedTrajectory
 
         network = generate_grid_city(4, 4)
         config = CausalTADConfig.tiny(network.num_segments)
+        # Two models from one seed: identical weights and random streams.
         fused = CausalTAD(config, network=network, rng=RandomState(7))
-        graph = CausalTAD(config.with_fused(False), network=network, rng=RandomState(7))
+        graph = CausalTAD(config, network=network, rng=RandomState(7))
         graph.load_state_dict(fused.state_dict())
 
         transition = network.transition_mask()
@@ -408,18 +375,67 @@ class TestModelLevelParity:
             walks.append(MapMatchedTrajectory(trajectory_id=f"w{ride}", segments=segments))
         batch = encode_batch(walks, network.num_segments)
 
-        def backward(model):
+        def backward(model, tg_forward, rp_forward):
             model.train()
             model.zero_grad()
-            out = model.tg_vae(batch, transition_mask=model.transition_mask,
-                               deterministic_latent=True)
-            rp = model.rp_vae(batch)
+            out = tg_forward(model.tg_vae, batch, model.transition_mask, deterministic_latent=True)
+            rp = rp_forward(model.rp_vae, batch)
             (out.loss + rp.loss).backward()
             return {name: p.grad.copy() for name, p in model.named_parameters()
                     if p.grad is not None}
 
-        fused_grads = backward(fused)
-        graph_grads = backward(graph)
+        fused_grads = backward(fused, TGVAE.forward, RPVAE.forward)
+        graph_grads = backward(graph, reference.tg_vae_forward, reference.rp_vae_forward)
+        assert set(fused_grads) == set(graph_grads)
+        for name in graph_grads:
+            np.testing.assert_allclose(
+                fused_grads[name], graph_grads[name], atol=1e-8, rtol=0.0, err_msg=name
+            )
+
+    @pytest.mark.parametrize(
+        "variant_kwargs",
+        [
+            dict(variational=False),
+            dict(beta=2.0, factor_gamma=0.5),
+            dict(num_mixture_components=3, time_aware=True),
+        ],
+        ids=["sae", "factor", "gm_time"],
+    )
+    def test_seq2seq_gradients_match(self, variant_kwargs):
+        from repro.baselines import DetectorConfig
+        from repro.baselines.seq2seq import Seq2SeqVAEModel, Seq2SeqVariant
+        from repro.trajectory.dataset import encode_batch
+        from repro.trajectory.types import MapMatchedTrajectory
+
+        num_segments = 23
+        config = DetectorConfig.tiny(num_segments)
+        variant = Seq2SeqVariant(**variant_kwargs)
+        fused = Seq2SeqVAEModel(config, variant, rng=RandomState(5))
+        graph = Seq2SeqVAEModel(config, variant, rng=RandomState(5))
+        graph.load_state_dict(fused.state_dict())
+
+        rng = np.random.default_rng(6)
+        walks = [
+            MapMatchedTrajectory(
+                trajectory_id=f"w{ride}",
+                segments=[int(s) for s in rng.integers(0, num_segments, size=rng.integers(2, 10))],
+            )
+            for ride in range(5)
+        ]
+        batch = encode_batch(walks, num_segments)
+
+        def backward(model, forward):
+            model.train()
+            model.zero_grad()
+            out = forward(model, batch)
+            out.loss.backward()
+            grads = {name: p.grad.copy() for name, p in model.named_parameters()
+                     if p.grad is not None}
+            return out.per_trajectory_nll, grads
+
+        fused_nll, fused_grads = backward(fused, Seq2SeqVAEModel.forward)
+        graph_nll, graph_grads = backward(graph, reference.seq2seq_forward)
+        np.testing.assert_allclose(fused_nll, graph_nll, atol=ATOL, rtol=0.0)
         assert set(fused_grads) == set(graph_grads)
         for name in graph_grads:
             np.testing.assert_allclose(

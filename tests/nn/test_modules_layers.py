@@ -8,8 +8,6 @@ import pytest
 from repro.nn import (
     GRU,
     GRUCell,
-    LSTM,
-    LSTMCell,
     Activation,
     Dropout,
     Embedding,
@@ -22,7 +20,7 @@ from repro.nn import (
     Tensor,
     no_grad,
 )
-from repro.nn.rnn import _sigmoid_np
+from repro.core.inference import _sigmoid_np
 from repro.utils import RandomState
 
 
@@ -184,7 +182,7 @@ class TestGaussianHead:
 class TestRecurrent:
     def test_gru_cell_step_shape(self):
         cell = GRUCell(4, 6, rng=RandomState(0))
-        h = cell(Tensor(np.ones((3, 4))), cell.initial_state(3))
+        h = cell.step(np.ones((3, 4)), np.zeros((3, 6)))
         assert h.shape == (3, 6)
 
     def test_gru_sequence_shapes(self):
@@ -229,33 +227,20 @@ class TestRecurrent:
 
     @pytest.mark.parametrize("rows", [1, 992])
     def test_gru_cell_step_bitwise_equals_forward(self, rows):
-        cell = GRUCell(48, 48, rng=RandomState(3))
+        """One serving step is one step of the sequence kernel, bit for bit."""
+        gru = GRU(48, 48, rng=RandomState(3))
+        cell = gru.cell
         gen = np.random.default_rng(rows)
         cell.b_ih.data[:] = gen.normal(size=cell.b_ih.data.shape)
         cell.b_hh.data[:] = gen.normal(size=cell.b_hh.data.shape)
         x = gen.normal(scale=2.0, size=(rows, 48))
         h = np.tanh(gen.normal(size=(rows, 48)))
         with no_grad():
-            reference = cell(Tensor(x), Tensor(h)).data
-        np.testing.assert_array_equal(cell.step(x, h).view(np.uint64), reference.view(np.uint64))
+            _, reference = gru(Tensor(x[:, None, :]), h0=Tensor(h))
+        np.testing.assert_array_equal(
+            cell.step(x, h).view(np.uint64), reference.data.view(np.uint64)
+        )
 
     def test_gru_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             GRUCell(0, 4)
-
-    def test_lstm_shapes_and_state(self):
-        lstm = LSTM(3, 5, rng=RandomState(0))
-        outputs, (h, c) = lstm(Tensor(np.random.default_rng(0).normal(size=(2, 6, 3))))
-        assert outputs.shape == (2, 6, 5)
-        assert h.shape == (2, 5) and c.shape == (2, 5)
-
-    def test_lstm_cell_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            LSTMCell(3, 0)
-
-    def test_lstm_mask(self):
-        lstm = LSTM(2, 3, rng=RandomState(0))
-        x = Tensor(np.random.default_rng(1).normal(size=(1, 2, 2)))
-        mask = np.array([[True, False]])
-        outputs, (h, _) = lstm(x, mask=mask)
-        np.testing.assert_allclose(outputs.data[0, 0], h.data[0])

@@ -1,0 +1,257 @@
+"""Per-step autograd reference formulations of the models' forward passes.
+
+The library runs each GRU through one fused kernel (:mod:`repro.nn.fused`)
+and each decoder loss through a one-node NLL.  The composite formulations
+they replace live here, as parity oracles only: a GRU built from one Tensor
+op per gate per timestep, the dense ``(batch, time, vocab)`` masked decoder,
+and the TG-VAE, RP-VAE, CausalTAD and Seq2Seq losses composed from those
+pieces.  Every function reads the parameters of a live model, so a fused
+forward and its reference can be compared on identical weights (and, for
+two models built from the same seed, identical random streams).
+
+Used by ``tests/nn/test_fused_kernels.py`` (kernel and model-level gradient
+parity), ``tests/core/test_inference_engine.py`` (score parity of the numpy
+engine) and ``benchmarks/test_bench_train_fused.py`` (the speed gate's
+reference side).
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.baselines.seq2seq import Seq2SeqOutput, Seq2SeqVAEModel
+from repro.core.causal_tad import CausalTAD, CausalTADLoss
+from repro.core.rp_vae import RPVAE, RPVAEOutput
+from repro.core.tg_vae import TGVAE, TGVAEOutput
+from repro.nn import (
+    GRU,
+    GRUCell,
+    Tensor,
+    as_tensor,
+    cross_entropy_from_logits,
+    gaussian_kl_standard,
+    log_softmax,
+    masked_log_softmax,
+    no_grad,
+    sequence_nll,
+    stack,
+)
+from repro.roadnet.csr import CompiledRoadGraph
+from repro.trajectory.dataset import EncodedBatch
+
+
+# --------------------------------------------------------------------------- #
+# per-step GRU
+# --------------------------------------------------------------------------- #
+def gru_cell_forward(cell: GRUCell, x: Tensor, h: Tensor) -> Tensor:
+    """One GRU step as Tensor ops: ``x`` is ``(batch, in)``, ``h`` ``(batch, hidden)``."""
+    x = as_tensor(x)
+    h = as_tensor(h)
+    gates_x = x @ cell.w_ih + cell.b_ih
+    gates_h = h @ cell.w_hh + cell.b_hh
+    H = cell.hidden_dim
+    rx, zx, nx = gates_x[:, :H], gates_x[:, H : 2 * H], gates_x[:, 2 * H :]
+    rh, zh, nh = gates_h[:, :H], gates_h[:, H : 2 * H], gates_h[:, 2 * H :]
+    reset = (rx + rh).sigmoid()
+    update = (zx + zh).sigmoid()
+    candidate = (nx + reset * nh).tanh()
+    return (1.0 - update) * candidate + update * h
+
+
+def gru_forward(
+    gru: GRU,
+    x: Tensor,
+    h0: Optional[Tensor] = None,
+    mask: Optional[np.ndarray] = None,
+) -> Tuple[Tensor, Tensor]:
+    """The GRU unrolled one :func:`gru_cell_forward` graph per timestep.
+
+    Same conventions as :meth:`repro.nn.GRU.forward`: masked positions carry
+    the hidden state through unchanged.
+    """
+    x = as_tensor(x)
+    batch, time = x.shape[0], x.shape[1]
+    h = h0 if h0 is not None else Tensor(np.zeros((batch, gru.hidden_dim)))
+    outputs: List[Tensor] = []
+    for t in range(time):
+        h_new = gru_cell_forward(gru.cell, x[:, t, :], h)
+        if mask is not None:
+            keep = mask[:, t].astype(np.float64)[:, None]
+            h = Tensor(keep) * h_new + Tensor(1.0 - keep) * h
+        else:
+            h = h_new
+        outputs.append(h)
+    return stack(outputs, axis=1), h
+
+
+# --------------------------------------------------------------------------- #
+# dense masked decoder (TG-VAE)
+# --------------------------------------------------------------------------- #
+def allowed_mask(tg: TGVAE, inputs: np.ndarray, transition_mask) -> Optional[np.ndarray]:
+    """The ``(batch, time, vocab)`` road-constrained prediction mask, or ``None``.
+
+    The next segment must be a graph successor of the current input segment;
+    padding rows get an all-True mask (the batch mask removes their loss).
+    """
+    if transition_mask is None or not tg.config.road_constrained:
+        return None
+    if isinstance(transition_mask, CompiledRoadGraph):
+        transition_mask = transition_mask.transition_mask()
+    safe_inputs = np.where(inputs >= tg.config.num_segments, 0, inputs)
+    step_mask = transition_mask[safe_inputs]
+    return step_mask | (inputs >= tg.config.num_segments)[..., None]
+
+
+def decoder_logits(tg: TGVAE, latent: Tensor, inputs: np.ndarray) -> Tensor:
+    """Unnormalised next-segment scores ``(batch, time, num_segments)``."""
+    h0 = tg.latent_to_hidden(latent).tanh()
+    embedded = tg.segment_embedding(inputs)
+    outputs, _ = gru_forward(tg.decoder_rnn, embedded, h0=h0)
+    return tg.output_projection(outputs)
+
+
+def decode_trajectory(tg: TGVAE, latent: Tensor, inputs: np.ndarray, transition_mask) -> Tensor:
+    """Dense ``(batch, time, num_segments)`` next-segment log-probabilities."""
+    logits = decoder_logits(tg, latent, inputs)
+    step_mask = allowed_mask(tg, inputs, transition_mask)
+    if step_mask is None:
+        return log_softmax(logits, axis=-1)
+    return masked_log_softmax(logits, step_mask, axis=-1)
+
+
+# --------------------------------------------------------------------------- #
+# loss compositions
+# --------------------------------------------------------------------------- #
+def tg_vae_forward(
+    tg: TGVAE,
+    batch: EncodedBatch,
+    transition_mask=None,
+    deterministic_latent: Optional[bool] = None,
+) -> TGVAEOutput:
+    """Reference for :meth:`TGVAE.forward`: L1 (Eq. 4) through the dense decoder."""
+    config = tg.config
+    mu, logvar = tg.encode_sd(batch.sources, batch.destinations)
+    latent = tg.sample_latent(mu, logvar, deterministic=deterministic_latent)
+
+    log_probs = decode_trajectory(tg, latent, batch.inputs, transition_mask)
+    per_step_nll = sequence_nll(log_probs, batch.targets, mask=batch.mask, reduction="none")
+    trajectory_nll = per_step_nll.sum(axis=1)
+
+    if config.use_sd_decoder:
+        source_logits, destination_logits = tg.decode_sd(latent)
+        source_nll = cross_entropy_from_logits(source_logits, batch.sources, reduction="none")
+        destination_nll = cross_entropy_from_logits(
+            destination_logits, batch.destinations, reduction="none"
+        )
+        sd_nll = source_nll + destination_nll
+    else:
+        sd_nll = Tensor(np.zeros(batch.batch_size))
+
+    kl = gaussian_kl_standard(mu, logvar, reduction="none")
+
+    per_trajectory = trajectory_nll + sd_nll + kl * config.kl_weight
+    loss = per_trajectory.mean()
+    return TGVAEOutput(
+        loss=loss,
+        trajectory_nll=trajectory_nll.data.copy(),
+        sd_nll=sd_nll.data.copy(),
+        kl=kl.data.copy(),
+        step_log_probs=-per_step_nll.data,
+    )
+
+
+def rp_vae_forward(rp: RPVAE, batch: EncodedBatch) -> RPVAEOutput:
+    """Reference for :meth:`RPVAE.forward`: L2 with the composite cross-entropy."""
+    segments = batch.full_segments
+    valid = batch.full_mask
+    flat_segments = segments[valid]
+    if flat_segments.size == 0:
+        raise ValueError("RP-VAE received a batch with no valid segments")
+
+    mu, logvar = rp.encode(flat_segments)
+    latent = rp.posterior_head.sample(mu, logvar, rng=rp._rng, deterministic=not rp.training)
+    logits = rp.decode(latent)
+
+    reconstruction = cross_entropy_from_logits(logits, flat_segments, reduction="none")
+    kl = gaussian_kl_standard(mu, logvar, reduction="none")
+    per_segment = reconstruction + kl * rp.config.kl_weight
+    loss = per_segment.mean()
+
+    counts = valid.sum(axis=1)
+    per_trajectory = np.zeros(batch.batch_size, dtype=np.float64)
+    nonempty = counts > 0
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))[nonempty]
+    per_trajectory[nonempty] = np.add.reduceat(per_segment.data, starts)
+
+    rp._cached_scaling = None  # parameters are about to change
+    return RPVAEOutput(loss=loss, per_trajectory_nll=per_trajectory)
+
+
+def causal_tad_loss(model: CausalTAD, batch: EncodedBatch) -> CausalTADLoss:
+    """Reference for :meth:`CausalTAD.forward`: the joint loss of Eq. (9)."""
+    tg_out = tg_vae_forward(model.tg_vae, batch, transition_mask=model.road_graph)
+    rp_out = rp_vae_forward(model.rp_vae, batch)
+    total = tg_out.loss + rp_out.loss
+    return CausalTADLoss(total=total, tg_loss=tg_out.loss.item(), rp_loss=rp_out.loss.item())
+
+
+def causal_tad_scores(model: CausalTAD, batch: EncodedBatch) -> np.ndarray:
+    """Reference for :meth:`CausalTAD.score_batch`: Eq. (10) at the configured λ."""
+    lam = model.config.lambda_weight
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            output = tg_vae_forward(
+                model.tg_vae, batch, model.road_graph, deterministic_latent=True
+            )
+            likelihood = output.trajectory_nll + output.sd_nll + output.kl
+            if lam == 0.0:
+                return likelihood
+            return likelihood - lam * model._sum_scaling(batch, model.scaling_factors())
+    finally:
+        model.train(was_training)
+
+
+def seq2seq_forward(
+    model: Seq2SeqVAEModel, batch: EncodedBatch, deterministic_latent: Optional[bool] = None
+) -> Seq2SeqOutput:
+    """Reference for :meth:`Seq2SeqVAEModel.forward`: per-step GRUs, dense NLL."""
+    variant = model.variant
+    if deterministic_latent is None:
+        deterministic_latent = not model.training
+
+    buckets = model._time_buckets(batch, batch.full_segments.shape[1])
+    embedded = model._embed_steps(batch.full_segments, buckets)
+    _, final_hidden = gru_forward(model.encoder_rnn, embedded, mask=batch.full_mask)
+
+    kl = Tensor(np.zeros(batch.batch_size))
+    factor_term = Tensor(np.zeros(()))
+    if variant.variational:
+        mu, logvar = model.posterior_head(final_hidden)
+        latent = model.posterior_head.sample(
+            mu, logvar, rng=model._rng, deterministic=deterministic_latent
+        )
+        if variant.num_mixture_components > 1:
+            kl = model._mixture_kl(mu, logvar, latent)
+        else:
+            kl = gaussian_kl_standard(mu, logvar, reduction="none")
+        if variant.factor_gamma > 0:
+            factor_term = model._factor_penalty(latent)
+    else:
+        latent = model.bottleneck(final_hidden).tanh()
+
+    h0 = model.latent_to_hidden(latent).tanh()
+    decoder_inputs = model._embed_steps(
+        batch.inputs, model._time_buckets(batch, batch.inputs.shape[1])
+    )
+    outputs, _ = gru_forward(model.decoder_rnn, decoder_inputs, h0=h0)
+    log_probs = log_softmax(model.output_projection(outputs), axis=-1)
+    per_step_nll = sequence_nll(log_probs, batch.targets, mask=batch.mask, reduction="none")
+    reconstruction = per_step_nll.sum(axis=1)
+
+    per_trajectory = reconstruction + kl * variant.beta
+    loss = per_trajectory.mean() + factor_term * variant.factor_gamma
+    return Seq2SeqOutput(loss=loss, per_trajectory_nll=per_trajectory.data.copy())
