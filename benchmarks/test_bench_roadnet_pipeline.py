@@ -3,10 +3,11 @@
 The road layer sits under everything the paper's evaluation does: the dataset
 build (route sampling + GPS simulation + map matching), the nearest-segment
 queries behind matching, and the shortest-path distances behind the anomaly
-generators and the iBOAT reference lookup.  This benchmark drives the compiled
-:class:`~repro.roadnet.csr.CompiledRoadGraph` and the retained legacy
-implementations through identical seeded workloads and gates on both speed
-and exactness.
+generators.  This benchmark drives the compiled
+:class:`~repro.roadnet.csr.CompiledRoadGraph` and the dict/dataclass
+implementations it replaced (the parity oracles of
+``tests/roadnet_reference.py``) through identical seeded workloads and gates
+on both speed and exactness.
 
 Acceptance bars (quick scale, enforced):
 
@@ -17,7 +18,7 @@ Acceptance bars (quick scale, enforced):
 * batched multi-source Dijkstra distances ≥ 3× per-source legacy Dijkstra,
   with bit-identical distances;
 * offline anomaly scores under the CSR successor tables within 1e-12 of the
-  dense transition-mask path.
+  dense transition-mask reference decoder (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -31,17 +32,13 @@ from benchmarks.support import (
     write_timing_artifact,
 )
 from repro.core import CausalTAD, CausalTADConfig
-from repro.roadnet import (
-    CityConfig,
-    Point,
-    batched_dijkstra_distances,
-    generate_arterial_city,
-    legacy_dijkstra_distances,
-)
+from repro.roadnet import CityConfig, Point, batched_dijkstra_distances, generate_arterial_city
 from repro.trajectory import MapMatcher, SimulatorConfig, TrajectorySimulator, simulate_gps
 from repro.trajectory.dataset import encode_batch
 from repro.utils import RandomState
 from repro.utils.timing import Timer, format_duration
+from tests import reference
+from tests.roadnet_reference import LegacyMapMatcher, legacy_dijkstra_distances, legacy_simulator
 
 MIN_BUILD_SPEEDUP = 5.0
 MIN_QUERY_SPEEDUP = 10.0
@@ -64,7 +61,7 @@ def test_bench_nearest_segment_queries():
     """Grid-local candidate queries vs the exhaustive all-segments scan."""
     city = _bench_city()
     graph = city.network.compiled()
-    legacy = MapMatcher(city.network, compiled=False)
+    legacy = LegacyMapMatcher(city.network)
     rng = np.random.default_rng(BENCH_SEED)
     low = graph.node_xy.min(axis=0)
     high = graph.node_xy.max(axis=0)
@@ -78,7 +75,7 @@ def test_bench_nearest_segment_queries():
     for _ in range(rounds):
         with Timer() as timer:
             reference = [
-                legacy._candidates(
+                legacy.candidates(
                     Point(float(x), float(y)), (float(hx), float(hy))
                 )
                 for (x, y), (hx, hy) in zip(points, headings)
@@ -130,13 +127,12 @@ def test_bench_dataset_build():
     city = _bench_city()
 
     def build(compiled: bool):
-        simulator = TrajectorySimulator(
+        simulator = (TrajectorySimulator if compiled else legacy_simulator)(
             city,
             config=SimulatorConfig(min_length=6, max_length=50),
             rng=RandomState(BENCH_SEED + 1),
-            compiled=compiled,
         )
-        matcher = MapMatcher(city.network, compiled=compiled)
+        matcher = (MapMatcher if compiled else LegacyMapMatcher)(city.network)
         with Timer() as generation_timer:
             trajectories = simulator.generate_many(NUM_TRAJECTORIES)
         raws = [
@@ -254,7 +250,7 @@ def test_bench_batched_dijkstra():
 
 
 def test_bench_score_parity_csr_vs_dense():
-    """Anomaly scores under CSR successor tables vs the dense mask path.
+    """Anomaly scores under CSR successor tables vs the dense-mask reference.
 
     Serving has one road constraint, the compiled graph; its sparse advance
     is pinned to offline scoring at 1e-12 by the fleet parity suites.
@@ -271,9 +267,13 @@ def test_bench_score_parity_csr_vs_dense():
     model.eval()
     batch = encode_batch(trajectories, net.num_segments)
 
-    # Offline: negative ELBO through the compiled graph vs the dense mask.
+    # Offline: negative ELBO through the compiled graph vs the dense-mask
+    # reference decoder.
     csr_scores = model.tg_vae.negative_elbo(batch, model.road_graph)
-    dense_scores = model.tg_vae.negative_elbo(batch, net.transition_mask())
+    dense = reference.tg_vae_forward(
+        model.tg_vae, batch, net.transition_mask(), deterministic_latent=True
+    )
+    dense_scores = dense.trajectory_nll + dense.sd_nll + dense.kl
     offline_drift = float(np.abs(csr_scores - dense_scores).max())
 
     print()

@@ -109,7 +109,7 @@ def _one_backward(model, path, batch):
     """One forward/backward with deterministic latents; returns (loss, grads)."""
     model.train()
     model.zero_grad()
-    tg = path.tg_forward(model.tg_vae, batch, model.transition_mask, deterministic_latent=True)
+    tg = path.tg_forward(model.tg_vae, batch, model.road_graph, deterministic_latent=True)
     rp = path.rp_forward(model.rp_vae, batch)
     loss = tg.loss + rp.loss
     loss.backward()
@@ -157,7 +157,7 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
 
     def tg_step(model, path, optimizer):
         optimizer.zero_grad()
-        out = path.tg_forward(model.tg_vae, batch, model.transition_mask)
+        out = path.tg_forward(model.tg_vae, batch, model.road_graph)
         out.loss.backward()
         clip_grad_norm(optimizer.parameters, 5.0)
         optimizer.step()

@@ -31,6 +31,7 @@ from repro.core.inference import InferenceEngine, ScoreDecomposition, resolve_en
 from repro.core.rp_vae import RPVAE
 from repro.core.tg_vae import TGVAE
 from repro.nn import Module, Tensor, no_grad
+from repro.roadnet.csr import CompiledRoadGraph
 from repro.roadnet.network import RoadNetwork
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset, encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
@@ -90,8 +91,7 @@ class CausalTAD(Module):
         self.config = config
         self.tg_vae = TGVAE(config, rng=rng)
         self.rp_vae = RPVAE(config, rng=rng)
-        self._road_graph = None
-        self._transition_mask: Optional[np.ndarray] = None
+        self._road_graph: Optional[CompiledRoadGraph] = None
         self._engine: Optional[InferenceEngine] = None
         if network is not None:
             self.attach_network(network)
@@ -105,8 +105,7 @@ class CausalTAD(Module):
         Stores the network's compiled CSR graph, the model's one road
         constraint: the decoder loss, offline scoring and the serving kernel
         all consume its O(E) successor tables.  The dense ``(V, V)``
-        transition mask is *not* materialised — :attr:`transition_mask`
-        densifies it on request for external callers.
+        transition mask is never materialised.
         """
         if network.num_segments != self.config.num_segments:
             raise ValueError(
@@ -114,29 +113,18 @@ class CausalTAD(Module):
                 f"configured for {self.config.num_segments}"
             )
         self._road_graph = network.compiled()
-        self._transition_mask = None
 
     @property
-    def road_graph(self):
+    def road_graph(self) -> Optional[CompiledRoadGraph]:
         """The attached :class:`~repro.roadnet.csr.CompiledRoadGraph`, if any."""
         return self._road_graph
-
-    @property
-    def transition_mask(self) -> Optional[np.ndarray]:
-        """Dense successor matrix of the attached graph (densified lazily).
-
-        A view for external callers only; no model path reads it.
-        """
-        if self._transition_mask is None and self._road_graph is not None:
-            self._transition_mask = self._road_graph.transition_mask()
-        return self._transition_mask
 
     # ------------------------------------------------------------------ #
     # training
     # ------------------------------------------------------------------ #
     def forward(self, batch: EncodedBatch) -> CausalTADLoss:
         """Joint loss of Eq. (9) for one batch."""
-        tg_out = self.tg_vae(batch, transition_mask=self._road_graph)
+        tg_out = self.tg_vae(batch, self._road_graph)
         rp_out = self.rp_vae(batch)
         total = tg_out.loss + rp_out.loss
         return CausalTADLoss(total=total, tg_loss=tg_out.loss.item(), rp_loss=rp_out.loss.item())

@@ -15,8 +15,11 @@ Its three parts, all following the paper:
   posterior collapse and forces the latent to carry SD information, which is
   the paper's out-of-distribution safeguard.
 * **Road-constrained trajectory decoder** ``Φ_t`` — a GRU started from ``r``
-  that predicts the next segment autoregressively, masking the softmax to the
-  graph successors of the current segment.
+  that predicts the next segment autoregressively, normalising the softmax
+  over the graph successors of the current segment only.  The successor
+  sets come from the compiled road graph
+  (:class:`~repro.roadnet.csr.CompiledRoadGraph`), the one form of the road
+  constraint the model accepts.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from repro.nn import (
     fused_successor_nll,
     gaussian_kl_standard,
 )
-from repro.nn.fused import build_successor_table
 from repro.roadnet.csr import CompiledRoadGraph
 from repro.trajectory.dataset import EncodedBatch
 from repro.utils.rng import RandomState, get_rng
@@ -97,33 +99,6 @@ class TGVAE(Module):
         self.output_projection = Linear(hidden, config.num_segments, rng=rng)
 
         self._rng = rng
-        # Padded successor gather tables for the sparse road-constrained loss,
-        # cached per transition-mask identity (the mask is attached once).
-        # The mask array itself is kept in the cache entry so its id cannot be
-        # recycled by a different array while the tables are alive.
-        self._successor_cache: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def _successor_tables(self, transition_mask) -> Tuple[np.ndarray, np.ndarray]:
-        """Padded successor gather tables for a dense mask or compiled graph.
-
-        A :class:`~repro.roadnet.csr.CompiledRoadGraph` carries its own cached
-        tables (built straight from the CSR arrays, no densification); dense
-        masks keep the historical build-and-cache-per-identity path.
-        """
-        if isinstance(transition_mask, CompiledRoadGraph):
-            return transition_mask.successor_tables()
-        cache = self._successor_cache
-        if cache is None or cache[0] is not transition_mask:
-            idx, valid = build_successor_table(transition_mask)
-            self._successor_cache = (transition_mask, idx, valid)
-        return self._successor_cache[1], self._successor_cache[2]
-
-    @staticmethod
-    def _target_allowed(transition_mask, safe_inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Whether each target is a graph successor of its input segment."""
-        if isinstance(transition_mask, CompiledRoadGraph):
-            return transition_mask.successors_contain(safe_inputs, targets)
-        return transition_mask[safe_inputs, targets]
 
     # ------------------------------------------------------------------ #
     # pieces
@@ -159,10 +134,14 @@ class TGVAE(Module):
     def forward(
         self,
         batch: EncodedBatch,
-        transition_mask: Optional[np.ndarray] = None,
+        road_graph: Optional[CompiledRoadGraph] = None,
         deterministic_latent: Optional[bool] = None,
     ) -> TGVAEOutput:
-        """Compute the L1 loss (Eq. 4) and per-trajectory components."""
+        """Compute the L1 loss (Eq. 4) and per-trajectory components.
+
+        Without ``road_graph`` (or with ``config.road_constrained`` off) the
+        decoder softmax runs over the whole vocabulary.
+        """
         config = self.config
         mu, logvar = self.encode_sd(batch.sources, batch.destinations)
         latent = self.sample_latent(mu, logvar, deterministic=deterministic_latent)
@@ -173,14 +152,12 @@ class TGVAE(Module):
         # With a road constraint the loss runs over each step's successor set
         # only (O(degree) instead of O(vocab) per position).
         logits = self.decoder_logits(latent, batch.inputs)
-        if transition_mask is not None and config.road_constrained:
-            succ_idx, succ_valid = self._successor_tables(transition_mask)
+        if road_graph is not None and config.road_constrained:
+            succ_idx, succ_valid = road_graph.successor_tables()
             inputs = batch.inputs
             padded = inputs >= config.num_segments
             safe_inputs = np.where(padded, 0, inputs)
-            target_allowed = (
-                self._target_allowed(transition_mask, safe_inputs, batch.targets) | padded
-            )
+            target_allowed = road_graph.successors_contain(safe_inputs, batch.targets) | padded
             per_step_nll = fused_successor_nll(
                 logits,
                 batch.targets,
@@ -225,15 +202,15 @@ class TGVAE(Module):
     # inference helpers
     # ------------------------------------------------------------------ #
     def negative_elbo(
-        self, batch: EncodedBatch, transition_mask: Optional[np.ndarray] = None
+        self, batch: EncodedBatch, road_graph: Optional[CompiledRoadGraph] = None
     ) -> np.ndarray:
         """Per-trajectory −ELBO ≈ −log P(c, t), the likelihood part of Eq. 10."""
-        output = self.forward(batch, transition_mask, deterministic_latent=True)
+        output = self.forward(batch, road_graph, deterministic_latent=True)
         return output.trajectory_nll + output.sd_nll + output.kl
 
     def step_scores(
-        self, batch: EncodedBatch, transition_mask: Optional[np.ndarray] = None
+        self, batch: EncodedBatch, road_graph: Optional[CompiledRoadGraph] = None
     ) -> np.ndarray:
         """Per-step −log P(t_{i+1} | r, t_{≤i}) (Fig. 4's per-segment scores)."""
-        output = self.forward(batch, transition_mask, deterministic_latent=True)
+        output = self.forward(batch, road_graph, deterministic_latent=True)
         return -output.step_log_probs

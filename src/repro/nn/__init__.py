@@ -39,7 +39,6 @@ from repro.nn.fused import (
     fused_linear,
     fused_gaussian_kl,
     fused_reparameterize,
-    build_successor_table,
 )
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, Embedding, Dropout, Sequential, MLP, GaussianHead, Activation
@@ -94,7 +93,6 @@ __all__ = [
     "fused_linear",
     "fused_gaussian_kl",
     "fused_reparameterize",
-    "build_successor_table",
     "cross_entropy_from_logits",
     "cross_entropy_from_log_probs",
     "sequence_nll",

@@ -26,9 +26,10 @@ cuDNN-style fused-RNN strategy, on the numpy substrate:
   graph the decoder loss otherwise materialises five times over.
 
 Every kernel is numerically interchangeable with the composite autograd
-formulation it replaces (gradients agree to ~1e-12); the per-step reference
-formulations live in the test suite (``tests/reference.py``), which pins the
-two together.
+formulation it replaces (gradients agree to ~1e-12).  The per-step reference
+formulations, the dense masked decoder and the dense-mask successor-table
+builder live in the test suite as parity oracles (``tests/reference.py``),
+which pins the two together.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from repro.nn.functional import NEG_INF
 from repro.nn.tensor import Tensor, as_tensor, is_grad_enabled
-from repro.utils.arrays import pad_ragged_rows
 
 __all__ = [
     "gru_step",
@@ -51,7 +51,6 @@ __all__ = [
     "fused_linear",
     "fused_gaussian_kl",
     "fused_reparameterize",
-    "build_successor_table",
 ]
 
 
@@ -553,23 +552,6 @@ def fused_masked_nll(
     return _node(nll, (logits,), backward)
 
 
-def build_successor_table(transition_mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pad the boolean ``(V, V)`` successor matrix into dense gather tables.
-
-    Returns ``(idx, valid)`` of shape ``(V, max_degree)``: ``idx[v]`` lists the
-    successors of segment ``v`` in ascending order, padded with the row's
-    first successor (so padded slots gather a real column and contribute an
-    exact zero to scatter-adds); ``valid`` marks the real entries.  Rows with
-    no successors keep ``idx = 0`` and all-False ``valid``.
-    """
-    tm = np.asarray(transition_mask, dtype=bool)
-    # ``nonzero`` walks the mask row-major, so within each row the successor
-    # columns come out ascending; the padded packing itself is shared with
-    # the CSR builder so both stay bit-identical.
-    rows, cols = np.nonzero(tm)
-    return pad_ragged_rows(rows, cols, tm.sum(axis=1), tm.shape[0])
-
-
 def fused_successor_nll(
     logits: Tensor,
     targets: np.ndarray,
@@ -595,8 +577,9 @@ def fused_successor_nll(
     targets:
         Integer array of shape ``(...)``.
     succ_idx / succ_valid:
-        Row-wise gather tables of shape ``(..., max_degree)`` — see
-        :func:`build_successor_table`.
+        Row-wise gather tables of shape ``(..., max_degree)``, gathered from
+        :meth:`CompiledRoadGraph.successor_tables
+        <repro.roadnet.csr.CompiledRoadGraph.successor_tables>`.
     target_allowed:
         Boolean ``(...)`` — whether the target is a successor of the input
         (False for anomalous transitions, which receive the NEG_INF

@@ -30,8 +30,6 @@ from repro.roadnet.shortest_path import (
     batched_dijkstra_distances,
     route_between_segments,
     k_shortest_routes,
-    legacy_dijkstra_route,
-    legacy_dijkstra_distances,
 )
 from repro.roadnet.preference import PointOfInterest, RoadPreferenceField
 from repro.roadnet.generators import (
@@ -66,8 +64,6 @@ __all__ = [
     "batched_dijkstra_distances",
     "route_between_segments",
     "k_shortest_routes",
-    "legacy_dijkstra_route",
-    "legacy_dijkstra_distances",
     "PointOfInterest",
     "RoadPreferenceField",
     "CityConfig",

@@ -17,10 +17,10 @@ successor structure of every segment at every decoding step.
   Dijkstra heap loop iterates without any numpy scalar boxing or dataclass
   attribute lookups;
 * **segment-graph CSR** — ``succ_indptr`` / ``succ_indices`` successor sets
-  (ascending within each row) from which the padded gather tables of
-  :func:`repro.nn.fused.build_successor_table` and, only on demand, the dense
-  ``(V, V)`` transition mask are derived.  The dense mask is the opt-in
-  compatibility path; everything hot consumes the CSR form;
+  (ascending within each row) from which the padded successor gather tables
+  and, only on demand, the dense ``(V, V)`` transition mask are derived.
+  Every model and serving path consumes the CSR form; the dense mask is a
+  view for inspection and for the tests' parity oracles;
 * **uniform-grid spatial index** — nearest-segment candidate queries expand
   cell rings until the current k-th best cost is provably unbeatable, so a
   query touches a few dozen grid-local segments instead of the whole city.
@@ -28,9 +28,12 @@ successor structure of every segment at every decoding step.
 Compilation is cached on the network (see :meth:`RoadNetwork.compiled
 <repro.roadnet.network.RoadNetwork.compiled>`) and invalidated on mutation.
 
-Exact-parity contract: every routine here reproduces the corresponding
-dict/dataclass code path bit-for-bit (same operand order, same tie-breaking)
-— the parity suite ``tests/roadnet/test_csr_graph.py`` and the benchmark gate
+This is the library's only road-graph implementation.  The dict/dataclass
+routines it replaced — heap Dijkstra over ``out_segments``, the exhaustive
+nearest-segment scan and the dict Viterbi matcher — live on as parity oracles
+in ``tests/roadnet_reference.py``, and every routine here reproduces them
+bit-for-bit (same operand order, same tie-breaking): the parity suite
+``tests/roadnet/test_csr_graph.py`` and the benchmark gate
 ``benchmarks/test_bench_roadnet_pipeline.py`` enforce it.
 """
 
@@ -246,6 +249,10 @@ class CompiledRoadGraph:
     succ_indptr / succ_indices:
         Segment-graph CSR: successors of segment ``i`` are
         ``succ_indices[succ_indptr[i]:succ_indptr[i+1]]``, ascending.
+
+    Segment ids index every per-segment array directly; they are
+    ``0..E-1`` because :meth:`RoadNetwork.add_segment` hands them out in
+    order.
     """
 
     def __init__(self, network: "RoadNetwork") -> None:
@@ -261,12 +268,6 @@ class CompiledRoadGraph:
         ).reshape(self.num_nodes, 2)
         self.node_index: Dict[int, int] = {int(nid): i for i, nid in enumerate(self.node_ids)}
 
-        sids = [s.segment_id for s in segments]
-        if sids != list(range(self.num_segments)):
-            raise ValueError(
-                "CompiledRoadGraph requires contiguous segment ids 0..E-1 "
-                "(the transition-mask and embedding vocabularies already assume this)"
-            )
         self.seg_start = np.array([self.node_index[s.start_node] for s in segments], dtype=np.int64)
         self.seg_end = np.array([self.node_index[s.end_node] for s in segments], dtype=np.int64)
         self.seg_start_xy = self.node_xy[self.seg_start].reshape(self.num_segments, 2)
@@ -325,10 +326,12 @@ class CompiledRoadGraph:
     def successor_tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """Padded ``(idx, valid)`` gather tables over the successor sets.
 
-        Identical (bit-for-bit) to ``build_successor_table(transition_mask)``
-        — ascending successors, padding slots repeating the row's first
-        successor, all-False ``valid`` for dead-end rows — but built straight
-        from the CSR arrays without materialising the dense ``(V, V)`` mask.
+        ``idx[v]`` lists the successors of segment ``v`` in ascending order,
+        padding slots repeat the row's first successor, and dead-end rows keep
+        ``idx = 0`` with all-False ``valid``.  Built straight from the CSR
+        arrays without materialising the dense ``(V, V)`` mask; the test
+        oracle in ``tests/reference.py`` that packs them from the dense mask
+        agrees bit-for-bit.
         """
         if self._succ_tables is None:
             counts = np.diff(self.succ_indptr)
@@ -360,9 +363,9 @@ class CompiledRoadGraph:
     def transition_mask(self) -> np.ndarray:
         """Dense boolean ``(V, V)`` successor matrix (cached).
 
-        This densification is the *opt-in compatibility path* — O(V²) memory —
-        kept for external consumers of the historical API.  No model path
-        reads it: they use :meth:`successor_tables` / :attr:`succ_indices`.
+        An O(V²) view for inspection and for the tests' parity oracles.  No
+        model or serving path reads it: they use :meth:`successor_tables` /
+        :attr:`succ_indices`.
         """
         if self._dense_mask is None:
             mask = np.zeros((self.num_segments, self.num_segments), dtype=bool)
@@ -394,9 +397,10 @@ class CompiledRoadGraph:
         """Match costs (projection distance + heading misalignment).
 
         ``points`` is ``(g, 2)``, ``segment_ids`` ``(c,)``; returns a
-        ``(g, c)`` cost matrix.  Reproduces ``MapMatcher._candidates``
-        arithmetic operation-for-operation so the compiled matcher selects
-        identical candidates.
+        ``(g, c)`` cost matrix.  Reproduces the arithmetic of the exhaustive
+        per-point scan (the ``candidates`` oracle in
+        ``tests/roadnet_reference.py``) operation-for-operation, so the
+        matcher selects identical candidates.
         """
         sxy = self.seg_start_xy[segment_ids]
         dxy = self.seg_dxy[segment_ids]
@@ -630,9 +634,9 @@ def csr_dijkstra(
 
     The algorithm — lazy-deletion binary heap, strict-improvement relaxation,
     ``(distance, node)`` tie-breaking, insertion-order edge iteration — is the
-    reference dict implementation verbatim, so routes and distances are
-    bit-identical; only the per-edge bookkeeping (dataclass construction,
-    dict lookups, callable dispatch) is gone.
+    dict-based Dijkstra oracle of ``tests/roadnet_reference.py`` verbatim, so
+    routes and distances are bit-identical; only the per-edge bookkeeping
+    (dataclass construction, dict lookups, callable dispatch) is gone.
     """
     if isinstance(weights, list):
         weight_list = weights
@@ -718,9 +722,8 @@ def csr_dijkstra_batched(
     together through vectorised min-plus sweeps over the in-edge CSR — one
     gather + add + ``minimum.reduceat`` per sweep to fixpoint (≤ graph
     diameter sweeps).  The shortest-distance fixpoint is unique, so either
-    path equals the heap Dijkstra's results bit-for-bit — this is the batched
-    distance kernel behind the iBOAT reference lookup and the evaluation
-    protocol's SD-pair statistics.
+    path equals the heap Dijkstra's results bit-for-bit.  Its one library
+    caller is :func:`~repro.roadnet.shortest_path.batched_dijkstra_distances`.
     """
     weight_list = graph.resolve_weights(weights) if not isinstance(weights, list) else weights
     num_sources = len(source_indices)

@@ -83,10 +83,12 @@ class RoadSegment:
 class RoadNetwork:
     """Directed road-segment graph with geometry.
 
-    Construction is incremental (``add_intersection`` / ``add_segment``); the
-    heavier derived structures — segment adjacency lists and the boolean
-    transition mask used for road-constrained decoding — are built lazily and
-    cached, and invalidated whenever the network is mutated.
+    Construction is incremental (``add_intersection`` / ``add_segment``).
+    Segment ids are contiguous by construction: ``add_segment`` hands out
+    ``0, 1, 2, …`` in insertion order, which is what the model vocabularies
+    and the compiled graph index by.  The compiled CSR view (successor
+    structure, geometry arrays, spatial index) is built lazily, cached, and
+    invalidated whenever the network is mutated.
     """
 
     def __init__(self, name: str = "road-network") -> None:
@@ -96,10 +98,7 @@ class RoadNetwork:
         self._out_segments: Dict[int, List[int]] = {}
         self._in_segments: Dict[int, List[int]] = {}
         self._segment_by_nodes: Dict[Tuple[int, int], int] = {}
-        self._successor_cache: Optional[Dict[int, List[int]]] = None
         self._compiled = None
-        self._min_segment_id = 0
-        self._max_segment_id = -1
 
     # ------------------------------------------------------------------ #
     # construction
@@ -122,9 +121,11 @@ class RoadNetwork:
         road_class: str = RoadClass.LOCAL,
         length: Optional[float] = None,
         speed_limit: Optional[float] = None,
-        segment_id: Optional[int] = None,
     ) -> RoadSegment:
-        """Add a directed segment between two existing intersections."""
+        """Add a directed segment between two existing intersections.
+
+        The segment gets the next free id, ``num_segments`` before the call.
+        """
         if start_node not in self._intersections or end_node not in self._intersections:
             raise KeyError("both endpoints must be added before the segment")
         if start_node == end_node:
@@ -133,10 +134,7 @@ class RoadNetwork:
             raise ValueError(f"segment {start_node}->{end_node} already exists")
         if road_class not in RoadClass.ALL:
             raise ValueError(f"unknown road class '{road_class}'")
-        if segment_id is None:
-            segment_id = len(self._segments)
-        if segment_id in self._segments:
-            raise ValueError(f"segment id {segment_id} already exists")
+        segment_id = len(self._segments)
         if length is None:
             length = euclidean_distance(
                 self._intersections[start_node].location,
@@ -146,8 +144,6 @@ class RoadNetwork:
             speed_limit = RoadClass.DEFAULT_SPEEDS[road_class]
         segment = RoadSegment(segment_id, start_node, end_node, float(length), road_class, float(speed_limit))
         self._segments[segment_id] = segment
-        self._min_segment_id = min(self._min_segment_id, segment_id)
-        self._max_segment_id = max(self._max_segment_id, segment_id)
         self._out_segments[start_node].append(segment_id)
         self._in_segments[end_node].append(segment_id)
         self._segment_by_nodes[(start_node, end_node)] = segment_id
@@ -167,7 +163,6 @@ class RoadNetwork:
         return forward, backward
 
     def _invalidate(self) -> None:
-        self._successor_cache = None
         self._compiled = None
 
     # ------------------------------------------------------------------ #
@@ -187,12 +182,6 @@ class RoadNetwork:
 
             self._compiled = CompiledRoadGraph(self)
         return self._compiled
-
-    def _contiguous_segment_ids(self) -> bool:
-        """Whether segment ids are exactly ``0..num_segments-1`` (compilable)."""
-        return not self._segments or (
-            self._min_segment_id == 0 and self._max_segment_id == len(self._segments) - 1
-        )
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -246,16 +235,9 @@ class RoadNetwork:
 
         Served from the compiled graph's precomputed midpoint array instead of
         re-deriving the geometry from the endpoint dataclasses on every call.
-        Networks with non-contiguous segment ids (not compilable) fall back to
-        the direct computation.
         """
         if segment_id not in self._segments:
             raise KeyError(segment_id)
-        if not self._contiguous_segment_ids():
-            seg = self._segments[segment_id]
-            a = self._intersections[seg.start_node].location
-            b = self._intersections[seg.end_node].location
-            return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
         mid = self.compiled().seg_midpoint_xy[segment_id]
         return Point(float(mid[0]), float(mid[1]))
 
@@ -269,27 +251,21 @@ class RoadNetwork:
         (including the U-turn back along the same road, so that the mask is
         consistent with :meth:`are_connected` / :meth:`is_valid_route` — every
         valid route must receive non-zero probability under the
-        road-constrained softmax).
+        road-constrained softmax).  Unknown ids have no successors.
         """
-        cache = self._successors()
-        return list(cache.get(segment_id, []))
-
-    def _successors(self) -> Dict[int, List[int]]:
-        if self._successor_cache is None:
-            cache: Dict[int, List[int]] = {}
-            for sid, seg in self._segments.items():
-                cache[sid] = list(self._out_segments.get(seg.end_node, []))
-            self._successor_cache = cache
-        return self._successor_cache
+        segment = self._segments.get(segment_id)
+        if segment is None:
+            return []
+        return list(self._out_segments[segment.end_node])
 
     def transition_mask(self) -> np.ndarray:
         """Boolean matrix ``M`` with ``M[i, j] = True`` iff ``j`` may follow ``i``.
 
         Shape is ``(num_segments, num_segments)``.  This dense O(N²) view is
-        the *opt-in compatibility path*: the road-constrained models and the
-        serving engine consume the compiled graph's CSR successor tables
-        directly (:meth:`~repro.roadnet.csr.CompiledRoadGraph.successor_tables`),
-        and only external consumers of the historical API still densify.
+        for inspection and for the tests' parity oracles: the road-constrained
+        models and the serving engine consume the compiled graph's CSR
+        successor tables (:meth:`~repro.roadnet.csr.CompiledRoadGraph.
+        successor_tables`) and never densify.
         """
         return self.compiled().transition_mask()
 
@@ -303,17 +279,10 @@ class RoadNetwork:
         """Whether a sequence of segment ids forms a connected route.
 
         Runs as two vectorised checks on the compiled arrays (id range, then
-        endpoint chaining) instead of per-edge dict lookups; non-compilable
-        networks (non-contiguous segment ids) use the per-edge path.
+        endpoint chaining) instead of per-edge dict lookups.
         """
         if len(segment_ids) == 0:
             return False
-        if not self._contiguous_segment_ids():
-            if any(sid not in self._segments for sid in segment_ids):
-                return False
-            return all(
-                self.are_connected(a, b) for a, b in zip(segment_ids[:-1], segment_ids[1:])
-            )
         graph = self.compiled()
         ids = np.asarray(segment_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size == 0:
@@ -326,8 +295,6 @@ class RoadNetwork:
         """Total length (metres) of a route given as segment ids."""
         if len(segment_ids) == 0:
             return 0.0
-        if not self._contiguous_segment_ids():
-            return float(sum(self._segments[sid].length for sid in segment_ids))
         graph = self.compiled()
         ids = np.asarray(segment_ids, dtype=np.int64)
         if ids.min() < 0 or ids.max() >= graph.num_segments:
@@ -381,18 +348,29 @@ class RoadNetwork:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "RoadNetwork":
-        """Rebuild a network from :meth:`to_dict` output."""
+        """Rebuild a network from :meth:`to_dict` output.
+
+        Segments may come in any order; they are added by ascending id, so
+        the ids must run ``0..num_segments-1`` without gaps or repeats
+        (``ValueError`` otherwise, naming the offending id).
+        """
         network = cls(name=payload.get("name", "road-network"))
         for node in payload["intersections"]:
             network.add_intersection(node["id"], node["x"], node["y"])
-        for seg in payload["segments"]:
+        for expected, seg in enumerate(sorted(payload["segments"], key=lambda s: s["id"])):
+            if seg["id"] < expected:
+                raise ValueError(f"segment id {seg['id']} appears more than once")
+            if seg["id"] > expected:
+                raise ValueError(
+                    f"segment ids must run 0..{len(payload['segments']) - 1}: "
+                    f"id {expected} is missing"
+                )
             network.add_segment(
                 seg["start"],
                 seg["end"],
                 road_class=seg["road_class"],
                 length=seg["length"],
                 speed_limit=seg["speed_limit"],
-                segment_id=seg["id"],
             )
         return network
 

@@ -152,7 +152,8 @@ class RoadPreferenceField:
         Bit-identical to calling :meth:`segment_cost` per segment (the power
         is evaluated with the same scalar kernel — numpy's vectorised ``**``
         may differ from the scalar one by 1 ulp, which would break route
-        parity with the per-edge legacy path).  The route-choice model
+        parity with the per-edge route-cost oracle of
+        ``tests/roadnet_reference.py``).  The route-choice model
         multiplies this base array by per-trip noise and hands the product
         straight to the CSR Dijkstra as its weight vector, removing every
         per-edge Python call from route sampling.

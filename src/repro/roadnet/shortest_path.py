@@ -1,32 +1,31 @@
 """Shortest-path routines over road networks.
 
-Three uses in the reproduction:
+Two uses in the library:
 
-* The **Detour anomaly generator** (paper §VI-A2) temporarily removes a road
-  segment and reroutes between two points of the original trajectory with
-  Dijkstra.
+* The **Detour and Switch anomaly generators** (paper §VI-A2) reconnect two
+  segments with :func:`route_between_segments`; Detour bans the segment it
+  removes "temporarily" so the reroute avoids it.
 * The **trajectory simulator** samples realistic routes as preference-weighted
-  stochastic shortest paths.
-* The **iBOAT-style metric baseline** needs node-to-node distances to locate
-  reference trajectories for unseen SD pairs.
+  stochastic shortest paths (:func:`dijkstra_route` on per-trip weights).
+
+:func:`dijkstra_distances`, :func:`batched_dijkstra_distances` and
+:func:`k_shortest_routes` complete the public routing API; no library path
+calls them.
 
 All functions operate on the *node* graph but return routes as *segment-id*
-sequences, because that is the representation the models consume.
-
-Since the CSR refactor the public functions run on the network's compiled
-flat-array view (:meth:`RoadNetwork.compiled`): weights are resolved to a
-per-segment array once per call (``weight`` may now be a numpy array as well
-as the historical callable) and the heap loop touches only plain ints and
-floats.  Routes, distances and tie-breaking are bit-identical to the original
-dict-based implementations, which are kept as ``legacy_dijkstra_route`` /
-``legacy_dijkstra_distances`` — the reference points for the parity tests and
-the benchmark gates.
+sequences, because that is the representation the models consume.  They run
+on the network's compiled flat-array view (:meth:`RoadNetwork.compiled`):
+``weight`` (an array or a per-segment callable) is resolved to a per-segment
+list once per call, and the heap loop touches only plain ints and floats.
+Routes, distances and tie-breaking are bit-identical to the original
+dict-based Dijkstra, which the test suite keeps as its parity oracle
+(``tests/roadnet_reference.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -39,21 +38,11 @@ __all__ = [
     "batched_dijkstra_distances",
     "route_between_segments",
     "k_shortest_routes",
-    "legacy_dijkstra_route",
-    "legacy_dijkstra_distances",
 ]
 
 WeightFn = Callable[[RoadSegment], float]
-#: ``weight`` accepts the historical per-segment callable or a weight array.
+#: ``weight`` accepts a per-segment callable or a weight array.
 WeightSpec = Union[WeightFn, np.ndarray, None]
-
-
-def _as_weight_fn(weight: WeightSpec) -> Optional[WeightFn]:
-    """Adapt a weight spec to the callable form the legacy fallback expects."""
-    if weight is None or callable(weight):
-        return weight
-    array = np.asarray(weight, dtype=np.float64)
-    return lambda segment: float(array[segment.segment_id])
 
 
 def dijkstra_route(
@@ -84,15 +73,6 @@ def dijkstra_route(
     """
     if source_node == target_node:
         return []
-    if not network._contiguous_segment_ids():
-        # Non-compilable (sparse-id) networks keep the dict implementation.
-        return legacy_dijkstra_route(
-            network,
-            source_node,
-            target_node,
-            weight=_as_weight_fn(weight),
-            banned_segments=banned_segments,
-        )
     graph = network.compiled()
     if source_node not in graph.node_index or target_node not in graph.node_index:
         # Unknown intersections behave like isolated nodes: unreachable.
@@ -112,11 +92,9 @@ def dijkstra_distances(
     weight: WeightSpec = None,
 ) -> Dict[int, float]:
     """Shortest distance from ``source_node`` to every reachable intersection."""
-    if not network._contiguous_segment_ids():
-        return legacy_dijkstra_distances(network, source_node, weight=_as_weight_fn(weight))
     graph = network.compiled()
     if source_node not in graph.node_index:
-        # Unknown intersections behave like isolated nodes (legacy contract).
+        # Unknown intersections behave like isolated nodes.
         return {source_node: 0.0}
     dist, _, _ = csr_dijkstra(
         graph, graph.node_index[source_node], weights=graph.resolve_weights(weight)
@@ -135,21 +113,22 @@ def batched_dijkstra_distances(
 
     Returns a ``(num_sources, num_intersections)`` array whose columns follow
     ascending intersection id (the compiled graph's node order); unreachable
-    entries hold ``inf``.  Weight resolution happens once for the whole batch,
-    so this is the kernel to use for SD-pair statistics, iBOAT reference
-    lookups and any all-pairs-ish workload.
+    entries hold ``inf``.  An unknown source is an isolated node outside the
+    graph, so its row is all ``inf``.  Weight resolution happens once for the
+    whole batch.
     """
-    if not network._contiguous_segment_ids():
-        node_ids = [n.node_id for n in network.intersections()]
-        weight_fn = _as_weight_fn(weight)
-        out = np.full((len(source_nodes), len(node_ids)), np.inf, dtype=np.float64)
-        for row, source in enumerate(source_nodes):
-            reachable = legacy_dijkstra_distances(network, int(source), weight=weight_fn)
-            out[row] = [reachable.get(node, np.inf) for node in node_ids]
-        return out
     graph = network.compiled()
-    sources = [graph.node_index[int(s)] for s in source_nodes]
-    return csr_dijkstra_batched(graph, sources, weights=graph.resolve_weights(weight))
+    rows = [row for row, s in enumerate(source_nodes) if int(s) in graph.node_index]
+    distances = csr_dijkstra_batched(
+        graph,
+        [graph.node_index[int(source_nodes[row])] for row in rows],
+        weights=graph.resolve_weights(weight),
+    )
+    if len(rows) == len(source_nodes):
+        return distances
+    out = np.full((len(source_nodes), graph.num_nodes), np.inf, dtype=np.float64)
+    out[rows] = distances
+    return out
 
 
 def route_between_segments(
@@ -161,10 +140,10 @@ def route_between_segments(
 ) -> Optional[List[int]]:
     """Shortest route connecting two segments, inclusive of both endpoints.
 
-    Used by the Detour generator: replace the sub-trajectory between segments
-    ``t_i`` and ``t_j`` with the shortest path that avoids a deleted segment.
-    The returned route starts with ``from_segment`` and ends with
-    ``to_segment``.
+    Used by the Detour generator (replace the sub-trajectory between segments
+    ``t_i`` and ``t_j`` with the shortest path that avoids a deleted segment),
+    the Switch generator and the map matcher's gap bridging.  The returned
+    route starts with ``from_segment`` and ends with ``to_segment``.
     """
     start = network.segment(from_segment)
     end = network.segment(to_segment)
@@ -197,27 +176,16 @@ def k_shortest_routes(
 ) -> List[List[int]]:
     """Up to ``k`` loop-free shortest routes (Yen's algorithm).
 
-    Used by the Switch anomaly generator and the route-diversity statistics in
-    the dataset reports.  Routes are returned best-first as segment-id lists.
+    Routes are returned best-first as segment-id lists.
     """
     if k <= 0:
         return []
-    if network._contiguous_segment_ids():
-        graph = network.compiled()
-        weight_array = np.asarray(graph.resolve_weights(weight), dtype=np.float64)
+    weight_array = np.asarray(network.compiled().resolve_weights(weight), dtype=np.float64)
 
-        def route_cost(route: List[int]) -> float:
-            return sum(weight_array[route].tolist())
+    def route_cost(route: List[int]) -> float:
+        return sum(weight_array[route].tolist())
 
-        spur_weight: WeightSpec = weight_array
-    else:
-        weight_fn = _as_weight_fn(weight) or _default_weight
-
-        def route_cost(route: List[int]) -> float:
-            return sum(weight_fn(network.segment(sid)) for sid in route)
-
-        spur_weight = weight_fn
-    best = dijkstra_route(network, source_node, target_node, weight=spur_weight)
+    best = dijkstra_route(network, source_node, target_node, weight=weight_array)
     if best is None:
         return []
     routes: List[List[int]] = [best]
@@ -237,7 +205,7 @@ def k_shortest_routes(
                     banned.add(route[spur_index])
 
             spur = dijkstra_route(
-                network, spur_node, target_node, weight=spur_weight, banned_segments=banned
+                network, spur_node, target_node, weight=weight_array, banned_segments=banned
             )
             if spur is None:
                 continue
@@ -254,90 +222,3 @@ def k_shortest_routes(
         routes.append(next_route)
 
     return routes
-
-
-# --------------------------------------------------------------------------- #
-# Legacy dict-based reference implementations
-# --------------------------------------------------------------------------- #
-def _default_weight(segment: RoadSegment) -> float:
-    return segment.length
-
-
-def legacy_dijkstra_route(
-    network: RoadNetwork,
-    source_node: int,
-    target_node: int,
-    weight: Optional[WeightFn] = None,
-    banned_segments: Optional[Set[int]] = None,
-) -> Optional[List[int]]:
-    """The pre-CSR dict/dataclass Dijkstra, kept as the parity reference.
-
-    ``tests/roadnet/test_csr_graph.py`` asserts the CSR path reproduces its
-    routes bit-for-bit and ``benchmarks/test_bench_roadnet_pipeline.py``
-    measures the speedup against it.  Not intended for production use.
-    """
-    if source_node == target_node:
-        return []
-    weight = weight or _default_weight
-    banned = banned_segments or set()
-
-    distances: Dict[int, float] = {source_node: 0.0}
-    previous: Dict[int, Tuple[int, int]] = {}  # node -> (prev_node, via_segment)
-    visited: Set[int] = set()
-    heap: List[Tuple[float, int]] = [(0.0, source_node)]
-
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == target_node:
-            break
-        for segment in network.out_segments(node):
-            if segment.segment_id in banned:
-                continue
-            cost = weight(segment)
-            if cost < 0:
-                raise ValueError("Dijkstra requires non-negative segment weights")
-            candidate = dist + cost
-            neighbour = segment.end_node
-            if candidate < distances.get(neighbour, float("inf")):
-                distances[neighbour] = candidate
-                previous[neighbour] = (node, segment.segment_id)
-                heapq.heappush(heap, (candidate, neighbour))
-
-    if target_node not in previous and target_node != source_node:
-        return None
-
-    route: List[int] = []
-    node = target_node
-    while node != source_node:
-        prev_node, via_segment = previous[node]
-        route.append(via_segment)
-        node = prev_node
-    route.reverse()
-    return route
-
-
-def legacy_dijkstra_distances(
-    network: RoadNetwork,
-    source_node: int,
-    weight: Optional[WeightFn] = None,
-) -> Dict[int, float]:
-    """The pre-CSR single-source distances, kept as the parity reference."""
-    weight = weight or _default_weight
-    distances: Dict[int, float] = {source_node: 0.0}
-    visited: Set[int] = set()
-    heap: List[Tuple[float, int]] = [(0.0, source_node)]
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        for segment in network.out_segments(node):
-            candidate = dist + weight(segment)
-            neighbour = segment.end_node
-            if candidate < distances.get(neighbour, float("inf")):
-                distances[neighbour] = candidate
-                heapq.heappush(heap, (candidate, neighbour))
-    return distances

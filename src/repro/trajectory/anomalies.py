@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.shortest_path import dijkstra_route, route_between_segments
+from repro.roadnet.shortest_path import route_between_segments
 from repro.trajectory.types import LabeledTrajectory, MapMatchedTrajectory, SDPair
 from repro.utils.rng import RandomState, get_rng
 

@@ -26,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.roadnet.generators import SyntheticCity
-from repro.roadnet.network import RoadNetwork, RoadSegment
+from repro.roadnet.network import RoadNetwork
 from repro.roadnet.preference import RoadPreferenceField
-from repro.roadnet.shortest_path import dijkstra_route, legacy_dijkstra_route
+from repro.roadnet.shortest_path import dijkstra_route
 from repro.trajectory.types import MapMatchedTrajectory, SDPair
 from repro.utils.rng import RandomState, get_rng
 
@@ -75,12 +75,12 @@ class RouteChoiceModel:
     for the same SD pair therefore yields a mixture of plausible routes whose
     probabilities reflect both distance and road preference.
 
-    With ``compiled=True`` (the default) the preference-weighted base costs
-    are precomputed once as an array and each trip is a single vectorised
-    noise multiply followed by a CSR Dijkstra on the compiled graph —
-    bit-identical routes to the legacy per-edge callable path (``compiled=
-    False``, kept for parity tests and benchmarking), with no per-edge Python
-    dispatch left.
+    The preference-weighted base costs are precomputed once as an array, so
+    each trip is a single vectorised noise multiply followed by a CSR
+    Dijkstra on the compiled graph, with no per-edge Python dispatch.  The
+    routes are bit-identical to the original per-edge callable cost over the
+    dict-based Dijkstra, which the test suite keeps as its parity oracle
+    (``tests/roadnet_reference.py``).
     """
 
     def __init__(
@@ -88,15 +88,11 @@ class RouteChoiceModel:
         network: RoadNetwork,
         preference: RoadPreferenceField,
         config: Optional[SimulatorConfig] = None,
-        compiled: bool = True,
     ) -> None:
         self.network = network
         self.preference = preference
         self.config = config or SimulatorConfig()
-        self.compiled = compiled
-        self._base_costs: Optional[np.ndarray] = None
-        if compiled:
-            self._base_costs = preference.cost_array(self.config.preference_strength)
+        self._base_costs = preference.cost_array(self.config.preference_strength)
 
     def sample_route(
         self,
@@ -118,22 +114,12 @@ class RouteChoiceModel:
             return None
         src = self.network.segment(source_segment)
         dst = self.network.segment(destination_segment)
-        if self.compiled:
-            middle = dijkstra_route(
-                self.network,
-                src.end_node,
-                dst.start_node,
-                weight=self._base_costs * noise_factor,
-            )
-        else:
-
-            def trip_cost(segment: RoadSegment) -> float:
-                base = self.preference.segment_cost(segment.segment_id, cfg.preference_strength)
-                return base * float(noise_factor[segment.segment_id])
-
-            middle = legacy_dijkstra_route(
-                self.network, src.end_node, dst.start_node, weight=trip_cost
-            )
+        middle = dijkstra_route(
+            self.network,
+            src.end_node,
+            dst.start_node,
+            weight=self._base_costs * noise_factor,
+        )
         if middle is None:
             return None
         return self._join(source_segment, middle, destination_segment)
@@ -167,15 +153,12 @@ class TrajectorySimulator:
         city: SyntheticCity,
         config: Optional[SimulatorConfig] = None,
         rng: Optional[RandomState] = None,
-        compiled: bool = True,
     ) -> None:
         self.city = city
         self.network = city.network
         self.preference = city.preference
         self.config = config or SimulatorConfig()
-        self.route_model = RouteChoiceModel(
-            self.network, self.preference, self.config, compiled=compiled
-        )
+        self.route_model = RouteChoiceModel(self.network, self.preference, self.config)
         self._rng = get_rng(rng)
         self._counter = 0
 

@@ -17,14 +17,13 @@ with their own raw GPS data can still feed the models.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.roadnet.network import RoadNetwork
-from repro.roadnet.spatial import Point, euclidean_distance, interpolate_along, project_point_to_segment
+from repro.roadnet.spatial import interpolate_along
 from repro.trajectory.types import GPSPoint, MapMatchedTrajectory, Trajectory
 from repro.utils.rng import RandomState, get_rng
 
@@ -100,14 +99,17 @@ class MapMatcher:
     and gaps between non-adjacent chosen segments are bridged with shortest
     paths so that the result is always a *connected* route.
 
-    With ``compiled=True`` (the default) candidates come from the compiled
-    graph's grid-accelerated :meth:`~repro.roadnet.csr.CompiledRoadGraph.
-    nearest_segments` — only grid-local segments are projected, instead of
-    every segment for every point — and the Viterbi runs on padded
-    ``(points, candidates)`` arrays.  ``compiled=False`` keeps the original
-    exhaustive-scan + dict implementation; both produce identical routes
-    (same costs, same first-minimum tie-breaking), which the parity tests and
-    the roadnet pipeline benchmark assert.
+    Candidates come from the compiled graph's grid-accelerated
+    :meth:`~repro.roadnet.csr.CompiledRoadGraph.nearest_segments` — only
+    grid-local segments are projected, instead of every segment for every
+    point — and the Viterbi runs on padded ``(points, candidates)`` arrays.
+    Two-way roads produce geometrically identical forward and reverse
+    segments; the heading term (misalignment between the vehicle's motion
+    vector and the segment direction) is what disambiguates them.  The
+    original exhaustive-scan + dict matcher is kept as a parity oracle in
+    ``tests/roadnet_reference.py``; both produce identical routes (same
+    costs, same first-minimum tie-breaking), which the parity tests and the
+    roadnet pipeline benchmark assert.
     """
 
     def __init__(
@@ -116,54 +118,16 @@ class MapMatcher:
         num_candidates: int = 4,
         disconnect_penalty: float = 250.0,
         heading_weight: float = 60.0,
-        compiled: bool = True,
     ) -> None:
         self.network = network
         self.num_candidates = num_candidates
         self.disconnect_penalty = disconnect_penalty
         self.heading_weight = heading_weight
-        self.compiled = compiled
-        self._graph = network.compiled() if compiled else None
-        self._segment_geometry: List[Tuple[int, Point, Point]] = []
-        if not compiled:
-            for seg in network.segments():
-                start = network.intersection(seg.start_node).location
-                end = network.intersection(seg.end_node).location
-                self._segment_geometry.append((seg.segment_id, start, end))
+        self._graph = network.compiled()
 
     # ------------------------------------------------------------------ #
-    def _candidates(
-        self, point: Point, heading: Optional[Tuple[float, float]] = None
-    ) -> List[Tuple[int, float]]:
-        """The closest segments to a GPS point, scored by distance + heading.
-
-        Two-way roads produce geometrically identical forward and reverse
-        segments; the heading term (misalignment between the vehicle's motion
-        vector and the segment direction) is what disambiguates them.
-        """
-        scored = []
-        for sid, start, end in self._segment_geometry:
-            _, distance, _ = project_point_to_segment(point, start, end)
-            cost = distance
-            if heading is not None:
-                seg_dx, seg_dy = end.x - start.x, end.y - start.y
-                seg_norm = math.hypot(seg_dx, seg_dy)
-                head_norm = math.hypot(*heading)
-                if seg_norm > 0 and head_norm > 0:
-                    cosine = (seg_dx * heading[0] + seg_dy * heading[1]) / (seg_norm * head_norm)
-                    cost += self.heading_weight * (1.0 - cosine)
-            scored.append((sid, cost))
-        scored.sort(key=lambda item: item[1])
-        return scored[: self.num_candidates]
-
     def match(self, trajectory: Trajectory) -> MatchResult:
         """Match a raw GPS trajectory to a connected road-segment route."""
-        if self.compiled:
-            return self._match_compiled(trajectory)
-        return self._match_legacy(trajectory)
-
-    def _match_compiled(self, trajectory: Trajectory) -> MatchResult:
-        """Vectorised candidates + array Viterbi on the compiled graph."""
         graph = self._graph
         points = trajectory.points
         num_points = len(points)
@@ -216,57 +180,6 @@ class MapMatcher:
         return MatchResult(
             trajectory=matched, mean_match_distance=mean_distance, num_points_used=num_points
         )
-
-    def _match_legacy(self, trajectory: Trajectory) -> MatchResult:
-        """The original exhaustive-scan matcher (parity/benchmark reference)."""
-        points = trajectory.points
-        headings: List[Optional[Tuple[float, float]]] = []
-        for i in range(len(points)):
-            nxt = points[min(i + 1, len(points) - 1)]
-            prev = points[max(i - 1, 0)]
-            headings.append((nxt.x - prev.x, nxt.y - prev.y))
-        candidate_lists = [
-            self._candidates(p.location, heading) for p, heading in zip(points, headings)
-        ]
-
-        # Viterbi over candidate segments.
-        num_points = len(candidate_lists)
-        costs: List[Dict[int, float]] = [dict() for _ in range(num_points)]
-        back: List[Dict[int, Optional[int]]] = [dict() for _ in range(num_points)]
-        for sid, dist in candidate_lists[0]:
-            costs[0][sid] = dist
-            back[0][sid] = None
-        for i in range(1, num_points):
-            for sid, dist in candidate_lists[i]:
-                best_prev, best_cost = None, math.inf
-                for prev_sid, prev_cost in costs[i - 1].items():
-                    transition = 0.0
-                    if prev_sid != sid and not self.network.are_connected(prev_sid, sid):
-                        transition = self.disconnect_penalty
-                    total = prev_cost + dist + transition
-                    if total < best_cost:
-                        best_prev, best_cost = prev_sid, total
-                costs[i][sid] = best_cost
-                back[i][sid] = best_prev
-
-        # Backtrack the best chain.
-        last = min(costs[-1], key=costs[-1].get)
-        chain = [last]
-        for i in range(num_points - 1, 0, -1):
-            last = back[i][chain[-1]]
-            chain.append(last)
-        chain.reverse()
-
-        route = self._connect(self._collapse(chain))
-        mean_distance = float(
-            np.mean([dict(candidate_lists[i]).get(chain[i], 0.0) for i in range(num_points)])
-        )
-        matched = MapMatchedTrajectory(
-            trajectory_id=trajectory.trajectory_id,
-            segments=tuple(route),
-            timestamps=None,
-        )
-        return MatchResult(trajectory=matched, mean_match_distance=mean_distance, num_points_used=num_points)
 
     @staticmethod
     def _collapse(chain: Sequence[int]) -> List[int]:

@@ -1,11 +1,11 @@
 """Small shared array utilities.
 
-Currently hosts the padded ragged-row scatter used by both successor-table
-builders — :func:`repro.nn.fused.build_successor_table` (from a dense boolean
-mask) and :meth:`repro.roadnet.csr.CompiledRoadGraph.successor_tables` (from
-CSR arrays).  The two call sites must stay *bit-identical* (the TG-VAE loss
-consumes either interchangeably), so the padding semantics live in exactly
-one place.
+Currently hosts the padded ragged-row scatter behind
+:meth:`repro.roadnet.csr.CompiledRoadGraph.successor_tables`, which every
+road-constrained loss and scoring path gathers from.  The test suite's
+parity oracle in ``tests/reference.py`` packs the dense transition mask
+through the same function, so both sides share one padding rule and the
+parity test compares the successor sets themselves.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ def jump_batch(benchmark_data):
 class TestTGVAE:
     def test_forward_shapes_and_finiteness(self, model_config, small_batch, benchmark_data):
         model = TGVAE(model_config, rng=RandomState(0))
-        output = model(small_batch, transition_mask=benchmark_data.city.network.transition_mask())
+        output = model(small_batch, benchmark_data.city.network.compiled())
         assert np.isfinite(output.loss.item())
         assert output.trajectory_nll.shape == (6,)
         assert output.sd_nll.shape == (6,)
@@ -68,11 +68,10 @@ class TestTGVAE:
         on_road = transition[batch.inputs[valid], batch.targets[valid]]
         assert not transition[batch.inputs[row, step], batch.targets[row, step]]
         model = TGVAE(model_config, rng=RandomState(0))
-        for constraint in (transition, network.compiled()):
-            log_probs = model(batch, constraint, deterministic_latent=True).step_log_probs
-            # Log-probability of a non-successor must be (near) -inf, and only
-            # of a non-successor.
-            np.testing.assert_array_equal(log_probs[valid] <= NEG_INF / 2, ~on_road)
+        log_probs = model(batch, network.compiled(), deterministic_latent=True).step_log_probs
+        # Log-probability of a non-successor must be (near) -inf, and only of
+        # a non-successor.
+        np.testing.assert_array_equal(log_probs[valid] <= NEG_INF / 2, ~on_road)
 
     def test_unconstrained_when_disabled(self, benchmark_data, jump_batch):
         batch, row, step = jump_batch
@@ -86,7 +85,7 @@ class TestTGVAE:
         )
         model = TGVAE(config, rng=RandomState(0))
         output = model(
-            batch, benchmark_data.city.network.transition_mask(), deterministic_latent=True
+            batch, benchmark_data.city.network.compiled(), deterministic_latent=True
         )
         # All probabilities finite (no masking applied), the jump included.
         assert (output.step_log_probs[batch.mask] > NEG_INF / 2).all()
@@ -113,7 +112,7 @@ class TestTGVAE:
 
     def test_step_scores_nonnegative_at_valid_positions(self, model_config, small_batch, benchmark_data):
         model = TGVAE(model_config, rng=RandomState(0))
-        scores = model.step_scores(small_batch, benchmark_data.city.network.transition_mask())
+        scores = model.step_scores(small_batch, benchmark_data.city.network.compiled())
         assert (scores[small_batch.mask] >= 0).all()
 
 

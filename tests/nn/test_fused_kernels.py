@@ -16,7 +16,6 @@ import pytest
 from repro.nn import (
     GRU,
     Tensor,
-    build_successor_table,
     fused_gaussian_kl,
     fused_linear,
     fused_masked_nll,
@@ -198,7 +197,7 @@ class TestFusedSuccessorNLLParity:
         vocab = 19
         transition = rng.random((vocab, vocab)) > 0.7
         transition[:, 0] = True  # every segment has at least one successor
-        succ_idx, succ_valid = build_successor_table(transition)
+        succ_idx, succ_valid = reference.build_successor_table(transition)
 
         batch, time = 5, 7
         inputs = rng.integers(0, vocab, size=(batch, time))
@@ -235,7 +234,7 @@ class TestFusedSuccessorNLLParity:
         vocab = 6
         transition = np.zeros((vocab, vocab), dtype=bool)
         transition[:, 1] = True
-        succ_idx, succ_valid = build_successor_table(transition)
+        succ_idx, succ_valid = reference.build_successor_table(transition)
         inputs = np.array([[0]])
         targets = np.array([[3]])  # not a successor
         valid = np.array([[True]])
@@ -266,7 +265,7 @@ class TestFusedSuccessorNLLParity:
     def test_degenerate_valid_row_raises(self):
         vocab = 4
         transition = np.zeros((vocab, vocab), dtype=bool)
-        succ_idx, succ_valid = build_successor_table(transition)
+        succ_idx, succ_valid = reference.build_successor_table(transition)
         with pytest.raises(ValueError):
             fused_successor_nll(
                 Tensor(np.zeros((1, 1, vocab))),
@@ -378,7 +377,7 @@ class TestModelLevelParity:
         def backward(model, tg_forward, rp_forward):
             model.train()
             model.zero_grad()
-            out = tg_forward(model.tg_vae, batch, model.transition_mask, deterministic_latent=True)
+            out = tg_forward(model.tg_vae, batch, model.road_graph, deterministic_latent=True)
             rp = rp_forward(model.rp_vae, batch)
             (out.loss + rp.loss).backward()
             return {name: p.grad.copy() for name, p in model.named_parameters()

@@ -7,12 +7,16 @@ op per gate per timestep, the dense ``(batch, time, vocab)`` masked decoder,
 and the TG-VAE, RP-VAE, CausalTAD and Seq2Seq losses composed from those
 pieces.  Every function reads the parameters of a live model, so a fused
 forward and its reference can be compared on identical weights (and, for
-two models built from the same seed, identical random streams).
+two models built from the same seed, identical random streams).  The dense
+decoder takes the road constraint as a dense ``(V, V)`` transition mask or
+densifies a compiled graph; :func:`build_successor_table` packs such a mask
+into the gather tables the library builds from the CSR arrays.
 
 Used by ``tests/nn/test_fused_kernels.py`` (kernel and model-level gradient
 parity), ``tests/core/test_inference_engine.py`` (score parity of the numpy
-engine) and ``benchmarks/test_bench_train_fused.py`` (the speed gate's
-reference side).
+engine), ``tests/roadnet/test_csr_graph.py`` (successor-table parity),
+``benchmarks/test_bench_train_fused.py`` (the speed gate's reference side)
+and ``benchmarks/test_bench_roadnet_pipeline.py`` (CSR-vs-dense scores).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from repro.nn import (
 )
 from repro.roadnet.csr import CompiledRoadGraph
 from repro.trajectory.dataset import EncodedBatch
+from repro.utils.arrays import pad_ragged_rows
 
 
 # --------------------------------------------------------------------------- #
@@ -89,6 +94,23 @@ def gru_forward(
 # --------------------------------------------------------------------------- #
 # dense masked decoder (TG-VAE)
 # --------------------------------------------------------------------------- #
+def build_successor_table(transition_mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Pad the boolean ``(V, V)`` successor matrix into dense gather tables.
+
+    Returns ``(idx, valid)`` of shape ``(V, max_degree)``: ``idx[v]`` lists the
+    successors of segment ``v`` in ascending order, padded with the row's
+    first successor (so padded slots gather a real column and contribute an
+    exact zero to scatter-adds); ``valid`` marks the real entries.  Rows with
+    no successors keep ``idx = 0`` and all-False ``valid``.
+    """
+    tm = np.asarray(transition_mask, dtype=bool)
+    # ``nonzero`` walks the mask row-major, so within each row the successor
+    # columns come out ascending; the padded packing itself is shared with
+    # the CSR builder so both stay bit-identical.
+    rows, cols = np.nonzero(tm)
+    return pad_ragged_rows(rows, cols, tm.sum(axis=1), tm.shape[0])
+
+
 def allowed_mask(tg: TGVAE, inputs: np.ndarray, transition_mask) -> Optional[np.ndarray]:
     """The ``(batch, time, vocab)`` road-constrained prediction mask, or ``None``.
 

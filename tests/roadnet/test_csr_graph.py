@@ -1,7 +1,8 @@
 """Parity suite for the compiled CSR road graph.
 
 Every routine of :mod:`repro.roadnet.csr` must reproduce its dict/dataclass
-reference implementation exactly — same routes, same distances, same
+reference implementation (the oracles in ``tests/roadnet_reference.py`` and
+``tests/reference.py``) exactly — same routes, same distances, same
 candidate sets, same tie-breaking — on regular grids, arterial cities with
 dropped edges, the Fig. 1(b) example, and hand-built dead-end / disconnected
 networks.
@@ -12,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.fused import build_successor_table
 from repro.roadnet import (
     CityConfig,
     Point,
@@ -24,12 +24,16 @@ from repro.roadnet import (
     dijkstra_route,
     generate_arterial_city,
     generate_grid_city,
-    legacy_dijkstra_distances,
-    legacy_dijkstra_route,
     route_between_segments,
 )
 from repro.trajectory import MapMatcher, TrajectorySimulator, SimulatorConfig, simulate_gps
 from repro.utils import RandomState
+from tests.reference import build_successor_table
+from tests.roadnet_reference import (
+    LegacyMapMatcher,
+    legacy_dijkstra_distances,
+    legacy_dijkstra_route,
+)
 
 
 @pytest.fixture(scope="module")
@@ -123,38 +127,15 @@ class TestCompiledStructure:
         assert second is not first
         assert second.num_segments == net.num_segments
 
-    def test_non_contiguous_segment_ids_rejected(self):
-        net = RoadNetwork(name="sparse-ids")
-        net.add_intersection(0, 0, 0)
-        net.add_intersection(1, 100, 0)
-        net.add_segment(0, 1, segment_id=7)
-        with pytest.raises(ValueError, match="contiguous"):
-            net.compiled()
-
-    def test_sparse_segment_ids_fall_back_to_dict_path(self):
-        """Geometry, validation and routing keep working without compilation."""
-        net = RoadNetwork(name="sparse-ids")
-        net.add_intersection(0, 0, 0)
-        net.add_intersection(1, 100, 0)
-        net.add_intersection(2, 100, 100)
-        net.add_segment(0, 1, segment_id=7)
-        net.add_segment(1, 2, segment_id=9)
-        assert net.segment_midpoint(7).as_tuple() == (50.0, 0.0)
-        assert net.route_length([7, 9]) == 200.0
-        assert net.is_valid_route([7, 9])
-        assert not net.is_valid_route([9, 7])
-        assert dijkstra_route(net, 0, 2) == [7, 9]
-        assert dijkstra_route(net, 2, 0) is None
-        assert dijkstra_distances(net, 0) == {0: 0.0, 1: 100.0, 2: 200.0}
-        matrix = batched_dijkstra_distances(net, [0, 2])
-        np.testing.assert_array_equal(
-            matrix, [[0.0, 100.0, 200.0], [np.inf, np.inf, 0.0]]
-        )
-
     def test_unknown_nodes_behave_as_isolated(self, cities):
         net = cities["grid"]
         assert dijkstra_route(net, 99_999, 0) is None
+        assert dijkstra_route(net, 0, 99_999) is None
         assert dijkstra_distances(net, 99_999) == {99_999: 0.0}
+        matrix = batched_dijkstra_distances(net, [0, 99_999, 1])
+        assert matrix.shape == (3, net.num_intersections)
+        assert np.isinf(matrix[1]).all()
+        np.testing.assert_array_equal(matrix[[0, 2]], batched_dijkstra_distances(net, [0, 1]))
 
     def test_route_length_rejects_invalid_ids(self, cities):
         net = cities["grid"]
@@ -293,7 +274,7 @@ class TestNearestSegments:
 
     def test_candidates_match_exhaustive_scan(self, arterial):
         graph = arterial.compiled()
-        matcher = MapMatcher(arterial, compiled=False)
+        matcher = LegacyMapMatcher(arterial)
         rng = np.random.default_rng(5)
         low = graph.node_xy.min(axis=0) - 150.0
         high = graph.node_xy.max(axis=0) + 150.0
@@ -303,7 +284,7 @@ class TestNearestSegments:
             points, 4, headings=headings, heading_weight=matcher.heading_weight
         )
         for i in range(points.shape[0]):
-            reference = matcher._candidates(
+            reference = matcher.candidates(
                 Point(float(points[i, 0]), float(points[i, 1])),
                 (float(headings[i, 0]), float(headings[i, 1])),
             )
@@ -314,12 +295,12 @@ class TestNearestSegments:
 
     def test_candidates_without_heading(self, arterial):
         graph = arterial.compiled()
-        matcher = MapMatcher(arterial, compiled=False)
+        matcher = LegacyMapMatcher(arterial)
         rng = np.random.default_rng(6)
         points = rng.uniform(0.0, 1800.0, size=(150, 2))
         sids, _ = graph.nearest_segments(points, 4)
         for i in range(points.shape[0]):
-            reference = matcher._candidates(Point(float(points[i, 0]), float(points[i, 1])))
+            reference = matcher.candidates(Point(float(points[i, 0]), float(points[i, 1])))
             assert [s for s, _ in reference] == sids[i].tolist()
 
     def test_k_larger_than_network_pads(self, cities):
@@ -340,8 +321,8 @@ class TestMatchedRouteParity:
         simulator = TrajectorySimulator(
             city, config=SimulatorConfig(min_length=5, max_length=40), rng=RandomState(17)
         )
-        compiled = MapMatcher(city.network, compiled=True)
-        legacy = MapMatcher(city.network, compiled=False)
+        compiled = MapMatcher(city.network)
+        legacy = LegacyMapMatcher(city.network)
         for i, trajectory in enumerate(simulator.generate_many(12)):
             for noise in (5.0, 25.0, 60.0):
                 raw = simulate_gps(
@@ -364,6 +345,6 @@ class TestMatchedRouteParity:
             for i, (x, y) in enumerate([(10, 5), (90, -4), (5010, 4996), (5090, 5004)])
         )
         raw = Trajectory(trajectory_id="cross-component", points=points)
-        fast = MapMatcher(net, compiled=True).match(raw)
-        slow = MapMatcher(net, compiled=False).match(raw)
+        fast = MapMatcher(net).match(raw)
+        slow = LegacyMapMatcher(net).match(raw)
         assert fast.trajectory.segments == slow.trajectory.segments

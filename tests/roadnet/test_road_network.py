@@ -134,6 +134,12 @@ class TestSerialization:
             assert other.start_node == seg.start_node
             assert other.road_class == seg.road_class
 
+    def test_repeated_segment_id_rejected(self, small_network):
+        payload = small_network.to_dict()
+        payload["segments"][1]["id"] = 0
+        with pytest.raises(ValueError, match="id 0 appears more than once"):
+            RoadNetwork.from_dict(payload)
+
     def test_file_roundtrip(self, small_network, tmp_path):
         path = small_network.save(tmp_path / "net.json")
         rebuilt = RoadNetwork.load(path)

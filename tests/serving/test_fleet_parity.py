@@ -31,7 +31,7 @@ class TestMaskedPathParity:
     """Trained model with an attached road network (road-constrained softmax)."""
 
     def test_fleet_matches_session_and_offline(self, trained_causal_tad, benchmark_data):
-        assert trained_causal_tad.transition_mask is not None
+        assert trained_causal_tad.road_graph is not None
         trajectories = benchmark_data.id_test.trajectories[:12]
         detector = OnlineDetector(trained_causal_tad)
         fleet = fleet_final_scores(trained_causal_tad, trajectories)
@@ -75,7 +75,7 @@ class TestUnconstrainedPathParity:
     def unmasked_model(self, benchmark_data):
         model = CausalTAD(CausalTADConfig.tiny(benchmark_data.num_segments), rng=RandomState(7))
         model.eval()
-        assert model.transition_mask is None
+        assert model.road_graph is None
         return model
 
     def test_fleet_matches_session_and_offline(self, unmasked_model, benchmark_data):

@@ -2,9 +2,10 @@
 
 Guards the generator rewiring of the CSR refactor: trajectory generation and
 map matching must be (a) bit-identical run-to-run for a fixed seed and
-(b) bit-identical between the compiled CSR path and the legacy dict-based
-path — the stream of RNG draws, the sampled routes and the synthesised
-timestamps all have to line up exactly.
+(b) bit-identical between the compiled CSR path and the dict-based route
+sampler kept as a parity oracle (``tests/roadnet_reference.py``) — the
+stream of RNG draws, the sampled routes and the synthesised timestamps all
+have to line up exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.trajectory import (
     simulate_gps,
 )
 from repro.utils import RandomState
+from tests.roadnet_reference import legacy_simulator
 
 
 @pytest.fixture(scope="module")
@@ -31,20 +33,17 @@ def city():
     )
 
 
-def _generate(city, seed, compiled):
-    simulator = TrajectorySimulator(
-        city,
-        config=SimulatorConfig(min_length=5, max_length=40),
-        rng=RandomState(seed),
-        compiled=compiled,
+def _generate(city, seed, simulator_type=TrajectorySimulator):
+    simulator = simulator_type(
+        city, config=SimulatorConfig(min_length=5, max_length=40), rng=RandomState(seed)
     )
     return simulator.generate_many(25)
 
 
 class TestGenerationDeterminism:
     def test_same_seed_is_bit_identical(self, city):
-        first = _generate(city, seed=77, compiled=True)
-        second = _generate(city, seed=77, compiled=True)
+        first = _generate(city, seed=77)
+        second = _generate(city, seed=77)
         assert len(first) == len(second) == 25
         for a, b in zip(first, second):
             assert a.trajectory_id == b.trajectory_id
@@ -52,8 +51,8 @@ class TestGenerationDeterminism:
             assert a.timestamps == b.timestamps  # exact float equality
 
     def test_compiled_matches_legacy_path(self, city):
-        compiled = _generate(city, seed=78, compiled=True)
-        legacy = _generate(city, seed=78, compiled=False)
+        compiled = _generate(city, seed=78)
+        legacy = _generate(city, seed=78, simulator_type=legacy_simulator)
         assert len(compiled) == len(legacy)
         for a, b in zip(compiled, legacy):
             assert a.segments == b.segments
@@ -61,8 +60,8 @@ class TestGenerationDeterminism:
 
     def test_sd_pair_stream_unchanged(self, city):
         """The SD sampler consumes the RNG identically on both paths."""
-        sim_a = TrajectorySimulator(city, rng=RandomState(9), compiled=True)
-        sim_b = TrajectorySimulator(city, rng=RandomState(9), compiled=False)
+        sim_a = TrajectorySimulator(city, rng=RandomState(9))
+        sim_b = legacy_simulator(city, rng=RandomState(9))
         pairs_a = [sim_a.sample_sd_pair() for _ in range(50)]
         pairs_b = [sim_b.sample_sd_pair() for _ in range(50)]
         assert [p.as_tuple() for p in pairs_a] == [p.as_tuple() for p in pairs_b]
@@ -70,7 +69,7 @@ class TestGenerationDeterminism:
 
 class TestMatchingDeterminism:
     def test_matching_bit_identical_run_to_run(self, city):
-        trajectories = _generate(city, seed=80, compiled=True)[:8]
+        trajectories = _generate(city, seed=80)[:8]
         raws = [
             simulate_gps(city.network, t, rng=RandomState(500 + i))
             for i, t in enumerate(trajectories)
