@@ -1,14 +1,25 @@
-"""Benchmark — fleet serving throughput: micro-batched engine vs per-ride loop.
+"""Benchmark — fleet serving throughput against offline scoring of the same rides.
 
 The serving engine's reason to exist: at fleet scale, advancing N concurrent
-rides through one batched embedding lookup + GRU step + masked log-softmax per
-tick must beat N scalar per-ride updates by a wide margin.  This benchmark
-replays the same rides through both paths and reports segments/second.
+rides through one batched embedding lookup + GRU step + successor
+log-softmax per tick must cost about what scoring the same rides offline
+costs, not N scalar per-ride updates.  This benchmark replays 256 rides
+through :class:`FleetEngine` and scores the same rides with
+``model.score_dataset``, both warmed, as medians of interleaved repeats.
 
-Acceptance bar: at 256 concurrent rides the batched :class:`FleetEngine`
-sustains at least 5× the throughput of the per-ride
-:class:`~repro.core.OnlineSession` loop, while producing identical scores
-(1e-12).
+Gate: fleet/offline throughput ratio.  Both sides are batched numpy over the
+same arithmetic — the SD half of the eval forward, the shared GRU step and
+the successor-column log-softmax — so a faster kernel speeds both and the
+ratio moves only with what serving adds (event ingest, slot gather/scatter,
+per-tick bookkeeping).  A tick that advances its rides one kernel call at a
+time reads about 0.06; the engine reads 0.5–0.7 on a 2-vCPU host.
+
+The per-ride :class:`~repro.core.OnlineSession` loop still runs once, as the
+score check: fleet, per-ride loop and offline scores agree to 1e-12.  Its
+segments/s is printed and recorded as information only.  It used to be the
+gate's denominator, but it runs the same kernel as the fleet, so a cheaper
+kernel call (a faster session start, say) lowered that ratio although
+nothing got slower.
 """
 
 from __future__ import annotations
@@ -23,11 +34,17 @@ from benchmarks.support import (
 )
 from repro.core import CausalTAD, CausalTADConfig, OnlineDetector
 from repro.serving import FleetEngine, replay_trajectories
+from repro.trajectory.dataset import TrajectoryDataset
 from repro.utils import RandomState
 from repro.utils.timing import Timer, format_duration
 
 CONCURRENT_RIDES = 512 if BENCH_SCALE == "full" else 256
-MIN_SPEEDUP = 5.0
+#: Fixed floor of the fleet/offline gate, set from the measured spread (see
+#: CHANGES.md): the engine's runs read 0.5–0.7, a one-call-per-ride tick 0.06.
+MIN_FLEET_OVER_OFFLINE = 0.3
+WARMUPS = 2
+REPEATS = 7
+SCORE_TOL = 1e-12
 
 
 def _fleet_rides(data, count):
@@ -74,86 +91,97 @@ def _serving_model(data) -> CausalTAD:
     return model
 
 
-def _warmup(model, rides):
-    """Warm numpy's lazy imports / BLAS paths and the scaling-factor cache."""
-    engine = FleetEngine(model)
-    engine.run(replay_trajectories(rides[:8]))
+def _interleaved_medians(steps, warmups=WARMUPS, repeats=REPEATS):
+    """Median wall time of each step, repeats interleaved so load drift hits all."""
+    for _ in range(warmups):
+        for step in steps:
+            step()
+    samples = [[] for _ in steps]
+    for _ in range(repeats):
+        for times, step in zip(samples, steps):
+            with Timer() as timer:
+                step()
+            times.append(timer.elapsed)
+    return [float(np.median(times)) for times in samples]
 
 
 def test_bench_fleet_throughput(xian_data):
     rides = _fleet_rides(xian_data, CONCURRENT_RIDES)
     model = _serving_model(xian_data)
+    model.scaling_factors()  # precomputed once per model, outside both timings
+    dataset = TrajectoryDataset.from_trajectories(rides, xian_data.num_segments)
     total_segments = sum(len(t) - 1 for t in rides)
-    _warmup(model, rides)
 
-    # Best-of-N wall times for both paths: single runs of a ~30ms workload
-    # are at the mercy of GC pauses / CPU steal on shared CI runners.
-    rounds = 3
-
-    # --- per-ride baseline: one OnlineSession per ride, scalar updates ----- #
+    # --- score check: fleet, per-ride loop and offline agree -------------- #
+    summary = FleetEngine(model).run(replay_trajectories(rides))
     detector = OnlineDetector(model)
     loop_scores = {}
-    loop_elapsed = float("inf")
-    for _ in range(rounds):
-        with Timer() as loop_timer:
-            for trajectory in rides:
-                session = detector.start_session(trajectory.sd_pair, trajectory.segments[0])
-                for segment in trajectory.segments[1:]:
-                    session.update(segment)
-                loop_scores[trajectory.trajectory_id] = session.current_score
-        loop_elapsed = min(loop_elapsed, loop_timer.elapsed)
-    loop_rate = total_segments / loop_elapsed
+    with Timer() as loop_timer:
+        for trajectory in rides:
+            session = detector.start_session(trajectory.sd_pair, trajectory.segments[0])
+            for segment in trajectory.segments[1:]:
+                session.update(segment)
+            loop_scores[trajectory.trajectory_id] = session.current_score
+    offline = model.score_dataset(dataset)
+    offline_scores = {t.trajectory_id: float(s) for t, s in zip(rides, offline)}
+    assert summary.telemetry["segments_processed"] == total_segments
+    assert set(summary.finished) == set(loop_scores) == set(offline_scores)
+    fleet_scores = {ride_id: record.final_score for ride_id, record in summary.finished.items()}
+    worst_loop = max(abs(fleet_scores[r] - loop_scores[r]) for r in loop_scores)
+    worst_offline = max(
+        abs(fleet_scores[r] - offline_scores[r]) / max(1.0, abs(offline_scores[r]))
+        for r in offline_scores
+    )
 
-    # --- batched fleet engine: all rides concurrent, one batch per tick ---- #
-    fleet_elapsed = float("inf")
-    for _ in range(rounds):
-        engine = FleetEngine(model)
-        with Timer() as fleet_timer:
-            summary = engine.run(replay_trajectories(rides))
-        fleet_elapsed = min(fleet_elapsed, fleet_timer.elapsed)
-    fleet_rate = total_segments / fleet_elapsed
-
-    speedup = loop_elapsed / fleet_elapsed
+    # --- the gate: fleet against offline scoring of the same rides -------- #
+    fleet_seconds, offline_seconds = _interleaved_medians(
+        [
+            lambda: FleetEngine(model).run(replay_trajectories(rides)),
+            lambda: model.score_dataset(dataset),
+        ]
+    )
+    fleet_rate = total_segments / fleet_seconds
+    offline_rate = total_segments / offline_seconds
+    loop_rate = total_segments / loop_timer.elapsed
+    fleet_over_offline = fleet_rate / offline_rate
 
     print()
     print(f"Fleet throughput at {CONCURRENT_RIDES} concurrent rides "
-          f"({total_segments} segments, {summary.ticks} ticks):")
-    print(f"  per-ride OnlineSession loop : {loop_rate:12,.0f} segments/s "
-          f"({format_duration(loop_elapsed)})")
+          f"({total_segments} segments, {summary.ticks} ticks), "
+          f"medians of {REPEATS} interleaved repeats:")
+    print(f"  offline score_dataset       : {offline_rate:12,.0f} segments/s "
+          f"({format_duration(offline_seconds)})")
     print(f"  batched FleetEngine         : {fleet_rate:12,.0f} segments/s "
-          f"({format_duration(fleet_elapsed)})")
-    print(f"  speedup                     : {speedup:.1f}x  "
-          f"(tick latency p50 {format_duration(summary.telemetry['p50_tick_seconds'])} / "
-          f"p95 {format_duration(summary.telemetry['p95_tick_seconds'])})")
-
-    # Scores must be identical across the two paths (shared kernel).
-    assert set(summary.finished) == set(loop_scores)
-    worst = max(
-        abs(summary.finished[ride_id].final_score - score)
-        for ride_id, score in loop_scores.items()
-    )
-    print(f"  worst score disagreement    : {worst:.2e}")
-    assert worst < 1e-12
+          f"({format_duration(fleet_seconds)})")
+    print(f"  fleet / offline             : {fleet_over_offline:.2f}")
+    print(f"  per-ride OnlineSession loop : {loop_rate:12,.0f} segments/s "
+          f"({format_duration(loop_timer.elapsed)}, one run, not gated)")
+    print(f"  worst score disagreement    : fleet-loop {worst_loop:.2e}, "
+          f"fleet-offline {worst_offline:.2e} (relative)")
+    assert worst_loop < SCORE_TOL
+    assert worst_offline < SCORE_TOL
 
     write_timing_artifact(
         "bench_fleet_throughput",
         {
             "concurrent_rides": CONCURRENT_RIDES,
             "total_segments": total_segments,
-            "loop_segments_per_second": loop_rate,
+            "fleet_seconds": fleet_seconds,
+            "offline_seconds": offline_seconds,
             "fleet_segments_per_second": fleet_rate,
-            "speedup": speedup,
+            "offline_segments_per_second": offline_rate,
+            "loop_segments_per_second": loop_rate,
+            "fleet_over_offline": fleet_over_offline,
             "p50_tick_seconds": summary.telemetry["p50_tick_seconds"],
             "p95_tick_seconds": summary.telemetry["p95_tick_seconds"],
-            "min_speedup_required": MIN_SPEEDUP,
+            "min_fleet_over_offline_required": MIN_FLEET_OVER_OFFLINE,
         },
     )
 
-    assert summary.telemetry["segments_processed"] == total_segments
-    floor = baseline_floor("fleet", "speedup", MIN_SPEEDUP)
-    assert speedup >= floor, (
-        f"batched fleet engine only {speedup:.1f}x faster than the per-ride "
-        f"loop (required {floor:.1f}x)"
+    floor = baseline_floor("fleet", "fleet_over_offline", MIN_FLEET_OVER_OFFLINE)
+    assert fleet_over_offline >= floor, (
+        f"FleetEngine reaches only {fleet_over_offline:.2f} of offline scoring's "
+        f"throughput on the same rides (required {floor:.2f})"
     )
 
 

@@ -74,6 +74,13 @@ def _walk_dataset(network, num_segments: int, count: int) -> TrajectoryDataset:
     return TrajectoryDataset.from_trajectories(walks, num_segments, name="score-walks")
 
 
+def _graph_sweep(model, dataset):
+    """The λ grid on the Tensor path: one ``engine="graph"`` dataset pass per λ."""
+    return np.stack(
+        [model.score_dataset(dataset, lambda_weight=lam, engine="graph") for lam in LAMBDAS]
+    )
+
+
 def _interleaved_best(step_a, step_b, rounds=ROUNDS):
     """Best-of wall times, rounds interleaved so load drift hits both paths."""
     step_a(), step_b()
@@ -125,12 +132,12 @@ def test_bench_score_throughput_and_lambda_sweep():
         "decomposition must be computed exactly once for the whole grid"
     )
     assert engine.stats.trajectories_scored == len(dataset)
-    graph_sweep = model.lambda_sweep_scores(dataset, LAMBDAS, engine="graph")
+    graph_sweep = _graph_sweep(model, dataset)
     sweep_drift = float(np.abs(sweep - graph_sweep).max())
     assert sweep_drift <= DRIFT_ATOL, f"λ-sweep drift {sweep_drift:.2e} > {DRIFT_ATOL}"
 
     graph_sweep_time, numpy_sweep_time = _interleaved_best(
-        lambda: model.lambda_sweep_scores(dataset, LAMBDAS, engine="graph"),
+        lambda: _graph_sweep(model, dataset),
         lambda: model.lambda_sweep_scores(dataset, LAMBDAS),
         rounds=2,
     )

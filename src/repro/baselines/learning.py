@@ -28,9 +28,8 @@ import numpy as np
 
 from repro.baselines.base import DetectorConfig, TrajectoryAnomalyDetector
 from repro.baselines.seq2seq import Seq2SeqVAEModel, Seq2SeqVariant
-from repro.core.inference import Seq2SeqInferenceEngine, resolve_engine
+from repro.core.inference import Seq2SeqInferenceEngine
 from repro.core.trainer import Trainer
-from repro.nn import no_grad
 from repro.roadnet.network import RoadNetwork
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.utils.rng import RandomState
@@ -92,30 +91,15 @@ class Seq2SeqDetector(TrajectoryAnomalyDetector):
             self._engine = Seq2SeqInferenceEngine(self.model)
         return self._engine
 
-    def score(self, dataset: TrajectoryDataset, engine: Optional[str] = None) -> np.ndarray:
+    def score(self, dataset: TrajectoryDataset) -> np.ndarray:
         """Negative ELBO (or reconstruction error) per trajectory.
 
-        The default ``"numpy"`` engine mirrors the eval-mode forward without
-        building Tensor graphs (and never touches the model's train/eval
-        flag); ``engine="graph"`` runs the autograd path kept as the parity
-        reference, restoring whatever mode the model was in beforehand.
+        Scored by the graph-free numpy engine, which mirrors the eval-mode
+        forward without building Tensor graphs and never touches the model's
+        train/eval flag.
         """
         self._require_fitted()
-        if resolve_engine(engine) == "numpy":
-            return self.inference_engine().score_dataset(dataset)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            scores = np.empty(len(dataset), dtype=np.float64)
-            cursor = 0
-            with no_grad():
-                for batch in dataset.iter_batches(self.config.training.batch_size, shuffle=False):
-                    batch_scores = self.model.anomaly_scores(batch)
-                    scores[cursor : cursor + len(batch_scores)] = batch_scores
-                    cursor += len(batch_scores)
-        finally:
-            self.model.train(was_training)
-        return scores
+        return self.inference_engine().score_dataset(dataset)
 
 
 class SAEDetector(Seq2SeqDetector):

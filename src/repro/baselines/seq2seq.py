@@ -248,11 +248,3 @@ class Seq2SeqVAEModel(Module):
         per_trajectory = reconstruction + kl * variant.beta
         loss = per_trajectory.mean() + factor_term * variant.factor_gamma
         return Seq2SeqOutput(loss=loss, per_trajectory_nll=per_trajectory.data.copy())
-
-    # ------------------------------------------------------------------ #
-    # scoring
-    # ------------------------------------------------------------------ #
-    def anomaly_scores(self, batch: EncodedBatch) -> np.ndarray:
-        """Per-trajectory anomaly scores (negative ELBO / reconstruction error)."""
-        output = self.forward(batch, deterministic_latent=True)
-        return output.per_trajectory_nll

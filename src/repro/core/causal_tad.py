@@ -147,36 +147,20 @@ class CausalTAD(Module):
         batch: EncodedBatch,
         lambda_weight: Optional[float] = None,
         use_scaling: bool = True,
-        engine: Optional[str] = None,
     ) -> np.ndarray:
         """Debiased anomaly scores for a batch (higher = more anomalous).
 
         ``lambda_weight`` overrides the configured λ (the Fig. 8 sweep re-scores
         the same trained model with different λ without retraining);
         ``use_scaling=False`` drops the RP-VAE term entirely (the TG-VAE
-        ablation of Table III).  ``engine`` selects the scorer: ``"numpy"``
-        (default) is the graph-free batched engine, ``"graph"`` the autograd
-        Tensor path kept as the parity reference.
+        ablation of Table III).  Scored by the graph-free batched engine.
         """
         lam = self.config.lambda_weight if lambda_weight is None else lambda_weight
-        if resolve_engine(engine) == "numpy":
-            include_scaling = use_scaling and lam != 0.0
-            decomposition = self.inference_engine().decompose_batch(
-                batch, include_scaling=include_scaling
-            )
-            return decomposition.scores(lam, use_scaling=use_scaling)
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                likelihood_term = self.tg_vae.negative_elbo(batch, self._road_graph)
-                if not use_scaling or lam == 0.0:
-                    return likelihood_term
-                scaling = self.scaling_factors()
-                per_trajectory_scaling = self._sum_scaling(batch, scaling)
-                return likelihood_term - lam * per_trajectory_scaling
-        finally:
-            self.train(was_training)
+        include_scaling = use_scaling and lam != 0.0
+        decomposition = self.inference_engine().decompose_batch(
+            batch, include_scaling=include_scaling
+        )
+        return decomposition.scores(lam, use_scaling=use_scaling)
 
     def scaling_factors(self) -> np.ndarray:
         """Per-segment log scaling factors used by Eq. (10).
@@ -201,8 +185,10 @@ class CausalTAD(Module):
 
         The default ``"numpy"`` engine scores in length-bucketed batches
         through reusable workspaces (``batch_size=None`` lets it pack batches
-        to its position budget); ``engine="graph"`` runs the historical
-        per-batch Tensor path (parity reference, batch size 64 by default).
+        to its position budget).  ``engine="graph"`` runs the eval-mode
+        autograd forward (``TGVAE.negative_elbo``) per batch of 64 by default:
+        the one Tensor scoring path, kept as the reference the numpy engine
+        is checked against.
         """
         lam = self.config.lambda_weight if lambda_weight is None else lambda_weight
         if resolve_engine(engine) == "numpy":
@@ -213,12 +199,19 @@ class CausalTAD(Module):
             return decomposition.scores(lam, use_scaling=use_scaling)
         scores = np.empty(len(dataset), dtype=np.float64)
         cursor = 0
-        for batch in dataset.iter_batches(batch_size or 64, shuffle=False):
-            batch_scores = self.score_batch(
-                batch, lambda_weight=lambda_weight, use_scaling=use_scaling, engine="graph"
-            )
-            scores[cursor : cursor + len(batch_scores)] = batch_scores
-            cursor += len(batch_scores)
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                for batch in dataset.iter_batches(batch_size or 64, shuffle=False):
+                    batch_scores = self.tg_vae.negative_elbo(batch, self._road_graph)
+                    if use_scaling and lam != 0.0:
+                        scaling = self.scaling_factors()
+                        batch_scores = batch_scores - lam * self._sum_scaling(batch, scaling)
+                    scores[cursor : cursor + len(batch_scores)] = batch_scores
+                    cursor += len(batch_scores)
+        finally:
+            self.train(was_training)
         return scores
 
     def score_decomposition(
@@ -243,40 +236,26 @@ class CausalTAD(Module):
         dataset: TrajectoryDataset,
         lambdas: Sequence[float],
         batch_size: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> np.ndarray:
         """Scores for a whole λ grid, shape ``(len(lambdas), len(dataset))``.
 
-        With the default ``"numpy"`` engine the dataset is scored **once** and
-        the grid is evaluated as the vectorized ``likelihood − λ ⊗ scaling``
-        outer product (Fig. 8 at O(1) model forwards per grid point);
-        ``engine="graph"`` re-runs the Tensor path per λ as the reference.
+        The dataset is scored **once** and the grid is evaluated as the
+        vectorized ``likelihood − λ ⊗ scaling`` outer product (Fig. 8 at O(1)
+        model forwards per grid point).
         """
-        if resolve_engine(engine) == "numpy":
-            decomposition = self.score_decomposition(dataset, batch_size=batch_size)
-            return decomposition.lambda_sweep(lambdas)
-        return np.stack(
-            [
-                self.score_dataset(
-                    dataset, batch_size=batch_size, lambda_weight=lam, engine="graph"
-                )
-                for lam in lambdas
-            ]
-        )
+        decomposition = self.score_decomposition(dataset, batch_size=batch_size)
+        return decomposition.lambda_sweep(lambdas)
 
     def score_trajectory(
         self,
         trajectory: MapMatchedTrajectory,
         lambda_weight: Optional[float] = None,
         use_scaling: bool = True,
-        engine: Optional[str] = None,
     ) -> float:
         """Score a single trajectory."""
         batch = encode_batch([trajectory], self.config.num_segments)
         return float(
-            self.score_batch(
-                batch, lambda_weight=lambda_weight, use_scaling=use_scaling, engine=engine
-            )[0]
+            self.score_batch(batch, lambda_weight=lambda_weight, use_scaling=use_scaling)[0]
         )
 
     def _sum_scaling(self, batch: EncodedBatch, scaling: np.ndarray) -> np.ndarray:
@@ -294,7 +273,6 @@ class CausalTAD(Module):
         self,
         trajectory: MapMatchedTrajectory,
         lambda_weight: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> SegmentScoreBreakdown:
         """Decompose a trajectory's score into per-segment contributions.
 
@@ -304,25 +282,10 @@ class CausalTAD(Module):
         """
         lam = self.config.lambda_weight if lambda_weight is None else lambda_weight
         batch = encode_batch([trajectory], self.config.num_segments)
-        if resolve_engine(engine) == "numpy":
-            decomposition = self.inference_engine().decompose_batch(batch)
-            step_scores = decomposition.step_scores()[0]
-            scaling = self.scaling_factors()
-            total = float(decomposition.scores(lam)[0])
-        else:
-            was_training = self.training
-            self.eval()
-            try:
-                with no_grad():
-                    output = self.tg_vae(
-                        batch, self._road_graph, deterministic_latent=True
-                    )
-                    scaling = self.scaling_factors()
-            finally:
-                self.train(was_training)
-            step_scores = -output.step_log_probs[0]
-            likelihood = float(output.trajectory_nll[0] + output.sd_nll[0] + output.kl[0])
-            total = likelihood - lam * float(self._sum_scaling(batch, scaling)[0])
+        decomposition = self.inference_engine().decompose_batch(batch)
+        step_scores = decomposition.step_scores()[0]
+        scaling = self.scaling_factors()
+        total = float(decomposition.scores(lam)[0])
         target_segments = np.asarray(trajectory.segments[1:], dtype=np.int64)
         likelihood_scores = step_scores[: len(target_segments)]
         scaling_scores = scaling[target_segments]

@@ -31,19 +31,21 @@ offline, online and fleet step scores agree.
   evaluates a whole λ grid as one ``likelihood − λ ⊗ scaling`` outer product.
 * :class:`Seq2SeqInferenceEngine` — the same treatment for the Seq2Seq
   baseline family (SAE / VSAE / β-VAE / FactorVAE / GM-VSAE / DeepTEA).
-* :func:`successor_step_nll` — the road-constrained step NLL from decoder
-  hidden states (successor-column contraction + sparse log-softmax), and the
-  numpy softmax/NLL mirrors :func:`gather_log_softmax` /
+* :func:`sd_forward` — the SD half of the forward (SD reconstruction, KL and
+  the decoder's initial state), which the online kernel runs at session
+  start; :func:`successor_step_nll` — the road-constrained step NLL from
+  decoder hidden states (successor-column contraction + sparse log-softmax);
+  and the numpy softmax/NLL mirrors :func:`gather_log_softmax` /
   :func:`successor_log_softmax_nll` — all shared with the online serving
   kernel, so serving and offline scoring run one implementation.
 
 Datasets are scored in length-bucketed batches (near-homogeneous lengths, so
 padded GRU steps are almost eliminated) through per-bucket workspaces that are
-reused across batches; results are scattered back into dataset order.  The
-Tensor path remains available behind ``engine="graph"`` on the scoring entry
-points as the parity reference — ``tests/core/test_inference_engine.py`` pins
-the two paths together and ``benchmarks/test_bench_score_throughput.py`` gates
-the speedup.
+reused across batches; results are scattered back into dataset order.  This
+is the only eval-mode scoring path of the library.  The Tensor forward
+remains as one reference, ``CausalTAD.score_dataset(engine="graph")``:
+``tests/core/test_inference_engine.py`` pins the two paths together and
+``benchmarks/test_bench_score_throughput.py`` gates the speedup.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.baselines.seq2seq import Seq2SeqVAEModel
     from repro.core.causal_tad import CausalTAD
+    from repro.core.tg_vae import TGVAE
 
 __all__ = [
     "ScoreDecomposition",
@@ -73,6 +76,7 @@ __all__ = [
     "gather_log_softmax",
     "successor_log_softmax_nll",
     "successor_step_nll",
+    "sd_forward",
     "resolve_engine",
     "DEFAULT_ENGINE",
 ]
@@ -87,7 +91,8 @@ def resolve_engine(engine: Optional[str]) -> str:
     """Validate an ``engine=`` argument (``None`` selects :data:`DEFAULT_ENGINE`).
 
     ``"numpy"`` is the graph-free batched engine of this module; ``"graph"``
-    is the autograd Tensor path kept as the parity reference.
+    is the autograd Tensor path that ``CausalTAD.score_dataset``, the one
+    scoring entry point with an ``engine=`` option, keeps as the reference.
     """
     if engine is None:
         return DEFAULT_ENGINE
@@ -312,6 +317,48 @@ def _logsumexp_np(x: np.ndarray) -> np.ndarray:
     shift = x.max(axis=-1, keepdims=True)
     out = np.log(np.exp(x - shift).sum(axis=-1, keepdims=True)) + shift
     return out[..., 0]
+
+
+def sd_forward(
+    tg: "TGVAE",
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    joint: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SD half of the eval-mode TG-VAE forward: ``(sd_nll, kl, h0)``.
+
+    Everything Eq. 10 takes from the SD pair alone (paper §V-D): the SD
+    encoder Φ_e at the posterior mean (the eval-mode latent), the SD
+    decoder's ``−log P(c | r)`` (zeros with ``use_sd_decoder`` off), the
+    unweighted ``KL(Q1(R|c) || P(R))`` and the trajectory decoder's initial
+    state ``tanh(W r + b)``, one row per SD pair.  Offline scoring runs it
+    ahead of each batch's GRU unroll; serving runs it once per ride, at
+    session start.  ``joint`` is an optional ``(batch, 2 · embedding_dim)``
+    buffer for the concatenated SD embeddings.
+    """
+    sd_weight = tg.sd_embedding.weight.data
+    emb_dim = sd_weight.shape[1]
+    count = sources.shape[0]
+    if joint is None:
+        joint = np.empty((count, 2 * emb_dim), dtype=np.float64)
+    joint[:, :emb_dim] = sd_weight[sources]
+    joint[:, emb_dim:] = sd_weight[destinations]
+    mu, logvar = _gaussian_head_np(tg.posterior_head, _mlp_np(tg.sd_encoder, joint))
+    latent = mu  # posterior mean — the eval-mode deterministic sample
+
+    if tg.config.use_sd_decoder:
+        hidden = _mlp_np(tg.sd_decoder_hidden, latent)
+        rows = np.arange(count)
+        sd_nll = -gather_log_softmax(_linear_np(tg.source_head, hidden), rows, sources)
+        sd_nll -= gather_log_softmax(
+            _linear_np(tg.destination_head, hidden), rows, destinations
+        )
+    else:
+        sd_nll = np.zeros(count, dtype=np.float64)
+
+    h0 = _linear_np(tg.latent_to_hidden, latent)
+    np.tanh(h0, out=h0)
+    return sd_nll, _gaussian_kl_np(mu, logvar), h0
 
 
 def _gru_states(
@@ -591,38 +638,17 @@ class InferenceEngine:
         matching the graph path's behaviour for ``use_scaling=False`` scoring.
         """
         model = self.model
-        config = model.config
         tg = model.tg_vae
         ws = self._ws
         batch_size = batch.batch_size
 
-        # --- SD encoder Φ_e and deterministic latent ---------------------- #
-        sd_weight = tg.sd_embedding.weight.data
-        emb_dim = sd_weight.shape[1]
-        joint = ws.take("sd.joint", (batch_size, 2 * emb_dim))
-        joint[:, :emb_dim] = sd_weight[batch.sources]
-        joint[:, emb_dim:] = sd_weight[batch.destinations]
-        mu, logvar = _gaussian_head_np(tg.posterior_head, _mlp_np(tg.sd_encoder, joint))
-        latent = mu  # posterior mean — the eval-mode deterministic sample
-
-        # --- SD decoder Φ_c ------------------------------------------------ #
-        if config.use_sd_decoder:
-            hidden = _mlp_np(tg.sd_decoder_hidden, latent)
-            source_logits = _linear_np(tg.source_head, hidden)
-            destination_logits = _linear_np(tg.destination_head, hidden)
-            rows = np.arange(batch_size)
-            sd_nll = -gather_log_softmax(source_logits, rows, batch.sources)
-            sd_nll -= gather_log_softmax(destination_logits, rows, batch.destinations)
-        else:
-            sd_nll = np.zeros(batch_size, dtype=np.float64)
-
-        kl = _gaussian_kl_np(mu, logvar)
+        # --- SD half: Φ_e, Φ_c, KL and the decoder's initial state --------- #
+        joint = ws.take("sd.joint", (batch_size, 2 * tg.config.embedding_dim))
+        sd_nll, kl, h0 = sd_forward(tg, batch.sources, batch.destinations, joint=joint)
 
         # --- trajectory decoder Φ_t ---------------------------------------- #
         time = batch.inputs.shape[1]
         if time:
-            h0 = _linear_np(tg.latent_to_hidden, latent)
-            np.tanh(h0, out=h0)
             x_tm = _embed_time_major(
                 tg.segment_embedding.weight.data, batch.inputs, ws, "dec.x"
             )
@@ -762,8 +788,9 @@ class InferenceEngine:
 class Seq2SeqInferenceEngine:
     """Pure-numpy eval-mode scorer for the Seq2Seq baseline family.
 
-    Mirrors :meth:`repro.baselines.seq2seq.Seq2SeqVAEModel.anomaly_scores`
-    (eval mode, deterministic latent) for every variant — deterministic SAE,
+    Mirrors the per-trajectory scores of
+    :meth:`repro.baselines.seq2seq.Seq2SeqVAEModel.forward` (eval mode,
+    deterministic latent) for every variant — deterministic SAE,
     variational (β-)VSAE, the GM-VSAE mixture prior and DeepTEA's time-aware
     conditioning — without building Tensor graphs.  The FactorVAE penalty only
     enters the *training* loss, never the per-trajectory score, so it has no

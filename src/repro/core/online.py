@@ -25,14 +25,13 @@ start/advance kernel the fleet engine runs over thousands of rides per tick.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.scoring_kernel import advance_sessions, init_session_states
+from repro.core.scoring_kernel import advance_sessions, check_segment_id, init_session_states
 from repro.trajectory.types import MapMatchedTrajectory, SDPair
 
 __all__ = ["OnlineSession", "OnlineDetector", "ScoreUpdate"]
@@ -68,9 +67,10 @@ class OnlineSession:
         self._scaling = scaling_factors
         self._lambda = lambda_weight
         self.sd_pair = sd_pair
-        self._check_segment(sd_pair.source)
-        self._check_segment(sd_pair.destination)
-        first_segment = self._check_segment(first_segment)
+        num_segments = model.config.num_segments
+        check_segment_id(sd_pair.source, num_segments)
+        check_segment_id(sd_pair.destination, num_segments)
+        first_segment = check_segment_id(first_segment, num_segments)
         self.segments: List[int] = [first_segment]
         self.updates: List[ScoreUpdate] = []
 
@@ -100,27 +100,14 @@ class OnlineSession:
     def observed_length(self) -> int:
         return len(self.segments)
 
-    def _check_segment(self, segment_id: int) -> int:
-        # Pure-Python check: update() is the per-segment hot path, so it must
-        # not pay numpy array-construction overhead per call.  Floats would
-        # pass a range check and be truncated by the kernel; negative ids
-        # would silently wrap in its embedding lookup.
-        try:
-            segment = operator.index(segment_id)
-        except TypeError:
-            raise TypeError(f"segment id {segment_id!r} is not an integer") from None
-        num_segments = self._model.config.num_segments
-        if not 0 <= segment < num_segments:
-            raise ValueError(f"segment id {segment} outside [0, {num_segments})")
-        return segment
-
     def update(self, segment_id: int) -> ScoreUpdate:
         """Feed the next observed segment; O(1) in the trajectory length.
 
         Raises ``TypeError`` / ``ValueError`` for a non-integer or
-        out-of-range id before the session state changes.
+        out-of-range id, and ``ValueError`` naming the current segment when
+        it has no successor to advance to, before the session state changes.
         """
-        segment_id = self._check_segment(segment_id)
+        segment_id = check_segment_id(segment_id, self._model.config.num_segments)
         previous = np.array([self.segments[-1]], dtype=np.int64)
         entered = np.array([segment_id], dtype=np.int64)
         self._hidden, step_likelihoods = advance_sessions(

@@ -23,25 +23,26 @@ The GRU step itself is shared with training and offline scoring too:
 one :func:`~repro.nn.fused.gru_step` on raw numpy arrays, and never builds
 autograd graphs.  The road constraint is the attached compiled graph only, so
 offline scoring and serving cannot disagree about which segments may follow
-which.  Session start still runs the model's Tensor modules under
-``no_grad``.
+which.  Session start is :func:`~repro.core.inference.sd_forward`, the SD
+half of the offline engine's forward, so no scoring path builds a Tensor.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.inference import gather_log_softmax, successor_step_nll
-from repro.nn import log_softmax, no_grad
+from repro.core.inference import gather_log_softmax, sd_forward, successor_step_nll
 
 __all__ = [
     "SessionInit",
     "init_session_states",
     "advance_sessions",
     "can_advance",
+    "check_segment_id",
     "validate_segment_ids",
 ]
 
@@ -75,39 +76,43 @@ def validate_segment_ids(model: CausalTAD, segment_ids: np.ndarray) -> None:
         )
 
 
+def check_segment_id(segment_id, num_segments: int) -> int:
+    """One event's segment id as a Python int in ``[0, num_segments)``.
+
+    The per-event form of :func:`validate_segment_ids` for the ingest paths
+    (:meth:`OnlineSession.update <repro.core.online.OnlineSession.update>`,
+    :meth:`FleetEngine.submit <repro.serving.FleetEngine.submit>`), in pure
+    Python so a single id pays no array construction.  Raises ``TypeError``
+    for a non-integer (a float would pass a range check and be truncated by
+    the kernel; numpy integers are accepted) and ``ValueError`` for an id out
+    of range (a negative one would silently wrap in the embedding lookup).
+    """
+    try:
+        segment = operator.index(segment_id)
+    except TypeError:
+        raise TypeError(f"segment id {segment_id!r} is not an integer") from None
+    if not 0 <= segment < num_segments:
+        raise ValueError(f"segment id {segment} outside [0, {num_segments})")
+    return segment
+
+
 def init_session_states(
     model: CausalTAD, sources: np.ndarray, destinations: np.ndarray
 ) -> SessionInit:
     """Batched session start for rides with the given SD pairs.
 
-    One batched SD encoding + (optional) SD decoding + KL evaluation for all
-    rides at once; the per-row results are identical to running each ride
-    through a batch of one.
+    Runs :func:`~repro.core.inference.sd_forward`, the SD half of the
+    offline engine's eval forward, on every ride at once; the per-row
+    results are identical to running each ride through a batch of one.
     """
-    config = model.config
-    tg = model.tg_vae
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     # Negative ids would silently wrap in the embedding lookups below and
     # yield plausible but wrong scores, so reject them up front.
     validate_segment_ids(model, sources)
     validate_segment_ids(model, destinations)
-    with no_grad():
-        mu, logvar = tg.encode_sd(sources, destinations)
-        latent = tg.sample_latent(mu, logvar, deterministic=True)
-
-        fixed = np.zeros(sources.shape[0], dtype=np.float64)
-        if config.use_sd_decoder:
-            source_logits, destination_logits = tg.decode_sd(latent)
-            rows = np.arange(sources.shape[0])
-            source_lp = log_softmax(source_logits, axis=-1).data[rows, sources]
-            destination_lp = log_softmax(destination_logits, axis=-1).data[rows, destinations]
-            fixed += -(source_lp + destination_lp)
-        kl = 0.5 * (np.exp(logvar.data) + mu.data**2 - 1.0 - logvar.data).sum(axis=-1)
-        fixed += kl
-
-        hidden = tg.latent_to_hidden(latent).tanh().data
-    return SessionInit(fixed_scores=fixed, hidden=hidden)
+    sd_nll, kl, hidden = sd_forward(model.tg_vae, sources, destinations)
+    return SessionInit(fixed_scores=sd_nll + kl, hidden=hidden)
 
 
 def can_advance(model: CausalTAD, segments: np.ndarray) -> np.ndarray:
@@ -162,8 +167,10 @@ def advance_sessions(
     previous_segments = np.asarray(previous_segments, dtype=np.int64)
     next_segments = np.asarray(next_segments, dtype=np.int64)
 
-    if not can_advance(model, previous_segments).all():
-        raise ValueError("masked_log_softmax requires at least one allowed position per row")
+    movable = can_advance(model, previous_segments)
+    if not movable.all():
+        stuck = int(previous_segments[~movable][0])
+        raise ValueError(f"segment {stuck} has no successor: a ride on it cannot advance")
 
     embedded = tg.segment_embedding.weight.data[previous_segments]
     new_hidden = tg.decoder_rnn.cell.step(embedded, hidden)

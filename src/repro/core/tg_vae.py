@@ -207,10 +207,3 @@ class TGVAE(Module):
         """Per-trajectory −ELBO ≈ −log P(c, t), the likelihood part of Eq. 10."""
         output = self.forward(batch, road_graph, deterministic_latent=True)
         return output.trajectory_nll + output.sd_nll + output.kl
-
-    def step_scores(
-        self, batch: EncodedBatch, road_graph: Optional[CompiledRoadGraph] = None
-    ) -> np.ndarray:
-        """Per-step −log P(t_{i+1} | r, t_{≤i}) (Fig. 4's per-segment scores)."""
-        output = self.forward(batch, road_graph, deterministic_latent=True)
-        return -output.step_log_probs

@@ -42,7 +42,6 @@ from repro.nn import (
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
-from repro.utils.timing import Stopwatch
 
 __all__ = ["TrainingHistory", "Trainer"]
 
@@ -155,13 +154,13 @@ class Trainer:
             if start_epoch:
                 logger.info("resumed from %s at epoch %d", checkpoint_path, start_epoch)
 
-        stopwatch = Stopwatch()
         with obs.span("train/fit", epochs=epochs, start_epoch=start_epoch):
             for epoch in range(start_epoch, epochs):
                 self.model.train()
                 epoch_losses: List[float] = []
                 ins = self._instruments()
-                with stopwatch.time("epoch"), obs.span("train/epoch", epoch=epoch):
+                begin = time.perf_counter()
+                with obs.span("train/epoch", epoch=epoch):
                     batches = train_set.iter_batches(
                         config.batch_size, shuffle=True, rng=self.rng, bucketing=config.bucketing
                     )
@@ -171,9 +170,9 @@ class Trainer:
                         else:
                             loss_value = self._instrumented_step(batch, ins, epoch, step)
                         epoch_losses.append(loss_value)
+                self.history.epoch_seconds.append(time.perf_counter() - begin)
                 mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
                 self.history.train_losses.append(mean_loss)
-                self.history.epoch_seconds.append(stopwatch.records["epoch"][-1])
                 if ins is not None:
                     ins["epochs"].inc()
                     ins["epoch_seconds"].observe(self.history.epoch_seconds[-1])

@@ -32,7 +32,6 @@ phase runs inside a ``serving/<phase>`` :mod:`repro.obs` span.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -42,7 +41,12 @@ import numpy as np
 
 from repro import obs
 from repro.core.causal_tad import CausalTAD
-from repro.core.scoring_kernel import advance_sessions, can_advance, init_session_states
+from repro.core.scoring_kernel import (
+    advance_sessions,
+    can_advance,
+    check_segment_id,
+    init_session_states,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.serving.alerts import Alert, ThresholdAlertPolicy
 from repro.serving.events import FleetEvent, RideEnd, RideStart, SegmentObserved
@@ -204,18 +208,6 @@ class FleetEngine:
         """Number of rides with a live session in the store."""
         return len(self.store)
 
-    def _check_segment(self, segment_id: int) -> int:
-        # Pure Python: submit() sits on the ingest hot path, so it must not
-        # pay numpy overhead per event.  operator.index rejects floats (which
-        # pass a range check) and numpy floats; numpy ints come back as int.
-        try:
-            segment = operator.index(segment_id)
-        except TypeError:
-            raise TypeError(f"segment id {segment_id!r} is not an integer") from None
-        if not 0 <= segment < self._num_segments:
-            raise ValueError(f"segment id {segment} outside [0, {self._num_segments})")
-        return segment
-
     def submit(self, event: FleetEvent) -> None:
         """Queue one event; it takes effect on the next :meth:`tick`.
 
@@ -237,7 +229,7 @@ class FleetEngine:
             # Inline fast path for an in-range int; anything else is converted
             # or rejected by the full check.
             if type(segment) is not int or not 0 <= segment < self._num_segments:
-                segment = self._check_segment(segment)
+                segment = check_segment_id(segment, self._num_segments)
             if self.store.push(event.ride_id, segment):
                 return
             prestart = self._prestart_observations.get(event.ride_id)
@@ -252,9 +244,9 @@ class FleetEngine:
         elif isinstance(event, RideStart):
             if event.ride_id in self.store or event.ride_id in self._prestart_observations:
                 raise ValueError(f"ride {event.ride_id!r} already has an active session")
-            self._check_segment(event.sd_pair.source)
-            self._check_segment(event.sd_pair.destination)
-            self._check_segment(event.start_segment)
+            check_segment_id(event.sd_pair.source, self._num_segments)
+            check_segment_id(event.sd_pair.destination, self._num_segments)
+            check_segment_id(event.start_segment, self._num_segments)
             self._pending_starts.append(event)
             self._prestart_observations[event.ride_id] = deque()
         elif isinstance(event, RideEnd):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.obs.registry import MetricsRegistry
-from repro.utils.timing import Stopwatch, format_duration
+from repro.utils.timing import format_duration
 
 __all__ = ["FleetTelemetry"]
 
@@ -114,17 +114,6 @@ class FleetTelemetry:
     @latency_window.setter
     def latency_window(self, window: int) -> None:
         self._tick_hist.resize(window)
-
-    @property
-    def stopwatch(self) -> Stopwatch:
-        """Compatibility view of the latency window as a Stopwatch.
-
-        Returns a *fresh* :class:`~repro.utils.timing.Stopwatch` whose
-        ``records["tick"]`` lists the ring buffer's current samples in
-        insertion order (the shape the pre-registry telemetry exposed).
-        Mutating it does not feed back into the telemetry.
-        """
-        return Stopwatch(records={"tick": self._tick_hist.values().tolist()})
 
     # ------------------------------------------------------------------ #
     # derived statistics

@@ -8,7 +8,7 @@ pulling in heavyweight libraries.
 
 from repro.utils.arrays import pad_ragged_rows
 from repro.utils.rng import RandomState, get_rng, set_global_seed, spawn_rng
-from repro.utils.timing import Stopwatch, Timer, format_duration
+from repro.utils.timing import Timer, format_duration
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "get_rng",
     "set_global_seed",
     "spawn_rng",
-    "Stopwatch",
     "Timer",
     "format_duration",
     "get_logger",

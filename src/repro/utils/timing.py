@@ -1,17 +1,16 @@
 """Timing helpers used by the efficiency experiments (Fig. 7 of the paper).
 
 The paper reports training scalability and per-trajectory inference runtime.
-:class:`Stopwatch` provides accumulating measurements over many repetitions,
-while :class:`Timer` is a simple context manager for one-shot measurements.
+:class:`Timer` is a context manager for one-shot wall-clock measurements;
+:func:`format_duration` renders them.  Accumulated timings live in
+:mod:`repro.obs` (spans and histograms).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List
 
-__all__ = ["Timer", "Stopwatch", "format_duration"]
+__all__ = ["Timer", "format_duration"]
 
 
 class Timer:
@@ -35,63 +34,6 @@ class Timer:
 
     def __exit__(self, *exc) -> None:
         self.elapsed = time.perf_counter() - self._start
-
-
-@dataclass
-class Stopwatch:
-    """Accumulates named timing measurements.
-
-    Used by the efficiency experiment runners to time e.g. "score_trajectory"
-    across thousands of calls and report mean / total latency.
-    """
-
-    records: Dict[str, List[float]] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record one measurement under ``name``."""
-        self.records.setdefault(name, []).append(seconds)
-
-    def time(self, name: str) -> "_StopwatchContext":
-        """Context manager recording a block's duration under ``name``."""
-        return _StopwatchContext(self, name)
-
-    def total(self, name: str) -> float:
-        """Total accumulated seconds for ``name`` (0 if never recorded)."""
-        return float(sum(self.records.get(name, [])))
-
-    def mean(self, name: str) -> float:
-        """Mean seconds per measurement for ``name`` (0 if never recorded)."""
-        values = self.records.get(name, [])
-        return float(sum(values) / len(values)) if values else 0.0
-
-    def count(self, name: str) -> int:
-        """Number of measurements recorded for ``name``."""
-        return len(self.records.get(name, []))
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-name dictionary of count / total / mean seconds."""
-        return {
-            name: {
-                "count": float(len(values)),
-                "total": float(sum(values)),
-                "mean": float(sum(values) / len(values)) if values else 0.0,
-            }
-            for name, values in self.records.items()
-        }
-
-
-class _StopwatchContext:
-    def __init__(self, stopwatch: Stopwatch, name: str) -> None:
-        self._stopwatch = stopwatch
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_StopwatchContext":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stopwatch.add(self._name, time.perf_counter() - self._start)
 
 
 def format_duration(seconds: float) -> str:

@@ -1,12 +1,14 @@
 """Parity suite for the graph-free batched inference engine.
 
-The numpy engine (``repro/core/inference.py``) must reproduce the autograd
-Tensor path bit-tight (≤ 1e-12) across every scoring configuration the
-models support: road-constrained and unconstrained decoding, the fused
-Tensor path and the per-step reference of ``tests/reference.py``, padded
-batches containing zero-prediction rows, the λ grid, and the full Seq2Seq baseline family.  It also pins the
+The numpy engine (``repro/core/inference.py``) is the only eval-mode scorer
+in the library.  It must reproduce the autograd Tensor forwards bit-tight
+(≤ 1e-12) across every scoring configuration the models support:
+road-constrained and unconstrained decoding, against both the fused Tensor
+path (``score_dataset(engine="graph")``) and the per-step reference of
+``tests/reference.py``, padded batches containing zero-prediction rows, the
+λ grid, and the full Seq2Seq baseline family.  It also pins the
 decomposition contract — summing the pieces reproduces ``score_batch`` — and
-the ``Seq2SeqDetector.score`` train/eval-mode restoration fix.
+that ``Seq2SeqDetector.score`` leaves the model's train/eval mode alone.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ def test_score_batch_parity_all_configs(
     model = _model_for(benchmark_data, config)
     batch = mixed_dataset.encode(range(24))
     if fused:
-        graph = model.score_batch(batch, engine="graph")
+        graph = model.score_dataset(mixed_dataset.subset(range(24)), engine="graph")
     else:
         graph = reference.causal_tad_scores(model, batch)
-    numpy_scores = model.score_batch(batch, engine="numpy")
+    numpy_scores = model.score_batch(batch)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
@@ -120,10 +122,10 @@ def test_trained_model_parity(trained_causal_tad, mixed_dataset):
 
 
 def test_padded_and_minimal_rows(benchmark_data, padded_batch):
-    """Heavily padded rows (one real prediction) match the graph path."""
+    """Heavily padded rows (one real prediction) match the Tensor reference."""
     model = _model_for(benchmark_data, CausalTADConfig.tiny(benchmark_data.num_segments))
-    graph = model.score_batch(padded_batch, engine="graph")
-    numpy_scores = model.score_batch(padded_batch, engine="numpy")
+    graph = reference.causal_tad_scores(model, padded_batch)
+    numpy_scores = model.score_batch(padded_batch)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
     decomposition = model.inference_engine().decompose_batch(padded_batch)
     # The stub row made exactly one prediction; its padded tail is zero.
@@ -165,8 +167,8 @@ def test_zero_timestep_batch(benchmark_data):
 
 def test_step_scores_and_breakdown_parity(trained_causal_tad, mixed_dataset):
     trajectory = mixed_dataset[0].trajectory
-    graph = trained_causal_tad.segment_score_breakdown(trajectory, engine="graph")
-    numpy_breakdown = trained_causal_tad.segment_score_breakdown(trajectory, engine="numpy")
+    graph = reference.segment_score_breakdown(trained_causal_tad, trajectory)
+    numpy_breakdown = trained_causal_tad.segment_score_breakdown(trajectory)
     np.testing.assert_allclose(
         numpy_breakdown.likelihood_scores, graph.likelihood_scores, atol=PARITY_ATOL, rtol=0.0
     )
@@ -202,14 +204,14 @@ def test_decomposition_sum_equals_score_batch(trained_causal_tad, mixed_dataset)
     )
     np.testing.assert_allclose(
         decomposition.scores(lam),
-        trained_causal_tad.score_batch(batch, engine="numpy"),
+        trained_causal_tad.score_batch(batch),
         atol=0.0,
         rtol=0.0,
     )
     # use_scaling=False drops the scaling term entirely (Table III ablation).
     np.testing.assert_allclose(
         decomposition.scores(lam, use_scaling=False),
-        trained_causal_tad.score_batch(batch, use_scaling=False, engine="graph"),
+        reference.causal_tad_scores(trained_causal_tad, batch, use_scaling=False),
         atol=PARITY_ATOL,
         rtol=0.0,
     )
@@ -219,8 +221,11 @@ def test_lambda_grid_parity(trained_causal_tad, mixed_dataset):
     """The vectorized λ sweep matches per-λ scoring on both engines."""
     sweep = trained_causal_tad.lambda_sweep_scores(mixed_dataset, LAMBDAS)
     assert sweep.shape == (len(LAMBDAS), len(mixed_dataset))
-    graph_sweep = trained_causal_tad.lambda_sweep_scores(
-        mixed_dataset, LAMBDAS, engine="graph"
+    graph_sweep = np.stack(
+        [
+            trained_causal_tad.score_dataset(mixed_dataset, lambda_weight=lam, engine="graph")
+            for lam in LAMBDAS
+        ]
     )
     np.testing.assert_allclose(sweep, graph_sweep, atol=PARITY_ATOL, rtol=0.0)
     for index, lam in enumerate(LAMBDAS):
@@ -314,29 +319,28 @@ def seq2seq_config(benchmark_data) -> DetectorConfig:
 def test_seq2seq_engine_parity(detector_cls, seq2seq_config, mixed_dataset):
     detector = detector_cls(seq2seq_config, rng=RandomState(55))
     detector._fitted = True  # untrained weights exercise the same arithmetic
-    graph = detector.score(mixed_dataset, engine="graph")
-    numpy_scores = detector.score(mixed_dataset, engine="numpy")
+    graph = reference.seq2seq_scores(detector.model, mixed_dataset)
+    numpy_scores = detector.score(mixed_dataset)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
 def test_seq2seq_trained_parity(benchmark_data, seq2seq_config, mixed_dataset):
     detector = VSAEDetector(seq2seq_config, rng=RandomState(56))
     detector.fit(benchmark_data.train)
-    graph = detector.score(mixed_dataset, engine="graph")
-    numpy_scores = detector.score(mixed_dataset, engine="numpy")
+    graph = reference.seq2seq_scores(detector.model, mixed_dataset)
+    numpy_scores = detector.score(mixed_dataset)
     np.testing.assert_allclose(numpy_scores, graph, atol=PARITY_ATOL, rtol=0.0)
 
 
-@pytest.mark.parametrize("engine", ["numpy", "graph"])
-def test_seq2seq_score_restores_mode(seq2seq_config, mixed_dataset, engine):
+def test_seq2seq_score_restores_mode(seq2seq_config, mixed_dataset):
     """Regression: ``score`` used to force the model back into train mode."""
     detector = VSAEDetector(seq2seq_config, rng=RandomState(57))
     detector._fitted = True
     detector.model.eval()
-    detector.score(mixed_dataset, engine=engine)
+    detector.score(mixed_dataset)
     assert detector.model.training is False
     detector.model.train()
-    detector.score(mixed_dataset, engine=engine)
+    detector.score(mixed_dataset)
     assert detector.model.training is True
 
 

@@ -8,8 +8,10 @@ against ``sd_nll + kl`` and each step's likelihood against
 ``-step_log_probs``, to 1e-12 relative.  Covered: road-constrained,
 unconstrained and SD-decoder-free models, a non-unit ``kl_weight``, and one
 non-successor transition (scored through ``NEG_INF`` on constrained models).
-Underneath, serving, offline scoring and training run one GRU step, which the
-last test pins bit for bit.
+Session start is pinned bit for bit to the Tensor-module start it replaced
+(``tests/reference.session_start``).  Underneath, serving, offline scoring and
+training run one GRU step, which is pinned bit for bit too.  Last, no
+scoring path — fleet, per-ride or offline — builds a single Tensor.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import CausalTAD, CausalTADConfig
+from repro.core import CausalTAD, CausalTADConfig, OnlineDetector
 from repro.core.inference import InferenceEngine, Workspace, _gru_states
 from repro.core.scoring_kernel import advance_sessions, init_session_states
 from repro.nn import NEG_INF, Tensor, no_grad
+from repro.serving import FleetEngine, replay_trajectories
 from repro.trajectory.dataset import encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
+from tests import reference
 
 RTOL = 1e-12
 
@@ -91,6 +95,59 @@ def test_kernel_steps_match_offline_decomposition(model, trajectories, benchmark
         assert off_road_step >= -NEG_INF / 2  # scored through the NEG_INF sentinel
     else:
         assert off_road_step < -NEG_INF / 2
+
+
+@pytest.mark.parametrize("rides", [1, 7, 1024])
+def test_session_start_is_bitwise_the_tensor_start(model, benchmark_data, rides):
+    """Fixed scores and hidden states equal the Tensor-module start bit for bit."""
+    gen = np.random.default_rng(rides)
+    sources = gen.integers(0, benchmark_data.num_segments, size=rides)
+    destinations = gen.integers(0, benchmark_data.num_segments, size=rides)
+    init = init_session_states(model, sources, destinations)
+    fixed, hidden = reference.session_start(model, sources, destinations)
+    np.testing.assert_array_equal(init.fixed_scores.view(np.uint64), fixed.view(np.uint64))
+    np.testing.assert_array_equal(init.hidden.view(np.uint64), hidden.view(np.uint64))
+
+
+def _count_tensors(monkeypatch) -> list:
+    """Count every ``Tensor`` constructed from here on (one list entry each)."""
+    built = []
+    original = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("path", ["fleet", "session", "offline"])
+def test_scoring_builds_no_tensor(benchmark_data, monkeypatch, path):
+    """Serving and offline scoring run on numpy arrays only (scaling factors cached)."""
+    model = CausalTAD(
+        CausalTADConfig.tiny(benchmark_data.num_segments),
+        network=benchmark_data.city.network,
+        rng=RandomState(23),
+    )
+    model.eval()
+    model.scaling_factors()  # precomputed once per model by every scorer
+    rides = benchmark_data.id_test.trajectories[:6]
+    dataset = benchmark_data.id_test.subset(range(6))
+    engine = FleetEngine(model)
+    detector = OnlineDetector(model)
+    built = _count_tensors(monkeypatch)
+    if path == "fleet":
+        summary = engine.run(replay_trajectories(rides))
+        assert len(summary.finished) == len(rides)
+    elif path == "session":
+        for trajectory in rides:
+            detector.final_score(trajectory)
+    else:
+        model.score_trajectory(rides[0])
+        model.segment_score_breakdown(rides[0])
+        model.lambda_sweep_scores(dataset, (0.0, 0.1))
+    assert len(built) == 0
 
 
 @pytest.mark.parametrize("rows", [1, 1000])

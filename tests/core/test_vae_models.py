@@ -112,7 +112,10 @@ class TestTGVAE:
 
     def test_step_scores_nonnegative_at_valid_positions(self, model_config, small_batch, benchmark_data):
         model = TGVAE(model_config, rng=RandomState(0))
-        scores = model.step_scores(small_batch, benchmark_data.city.network.compiled())
+        output = model(
+            small_batch, benchmark_data.city.network.compiled(), deterministic_latent=True
+        )
+        scores = -output.step_log_probs
         assert (scores[small_batch.mask] >= 0).all()
 
 

@@ -5,7 +5,10 @@ and each decoder loss through a one-node NLL.  The composite formulations
 they replace live here, as parity oracles only: a GRU built from one Tensor
 op per gate per timestep, the dense ``(batch, time, vocab)`` masked decoder,
 and the TG-VAE, RP-VAE, CausalTAD and Seq2Seq losses composed from those
-pieces.  Every function reads the parameters of a live model, so a fused
+pieces, with the eval-mode scores built on them (Eq. 10 scores, the Fig. 4
+breakdown, the Seq2Seq baseline scores) and the Tensor-module session start
+that :func:`~repro.core.scoring_kernel.init_session_states` is pinned to.
+Every function reads the parameters of a live model, so a fused
 forward and its reference can be compared on identical weights (and, for
 two models built from the same seed, identical random streams).  The dense
 decoder takes the road constraint as a dense ``(V, V)`` transition mask or
@@ -14,7 +17,8 @@ into the gather tables the library builds from the CSR arrays.
 
 Used by ``tests/nn/test_fused_kernels.py`` (kernel and model-level gradient
 parity), ``tests/core/test_inference_engine.py`` (score parity of the numpy
-engine), ``tests/roadnet/test_csr_graph.py`` (successor-table parity),
+engine), ``tests/core/test_scoring_kernel.py`` (session start, bitwise),
+``tests/roadnet/test_csr_graph.py`` (successor-table parity),
 ``benchmarks/test_bench_train_fused.py`` (the speed gate's reference side)
 and ``benchmarks/test_bench_roadnet_pipeline.py`` (CSR-vs-dense scores).
 """
@@ -26,7 +30,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.baselines.seq2seq import Seq2SeqOutput, Seq2SeqVAEModel
-from repro.core.causal_tad import CausalTAD, CausalTADLoss
+from repro.core.causal_tad import CausalTAD, CausalTADLoss, SegmentScoreBreakdown
 from repro.core.rp_vae import RPVAE, RPVAEOutput
 from repro.core.tg_vae import TGVAE, TGVAEOutput
 from repro.nn import (
@@ -43,7 +47,8 @@ from repro.nn import (
     stack,
 )
 from repro.roadnet.csr import CompiledRoadGraph
-from repro.trajectory.dataset import EncodedBatch
+from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset, encode_batch
+from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils.arrays import pad_ragged_rows
 
 
@@ -219,22 +224,80 @@ def causal_tad_loss(model: CausalTAD, batch: EncodedBatch) -> CausalTADLoss:
     return CausalTADLoss(total=total, tg_loss=tg_out.loss.item(), rp_loss=rp_out.loss.item())
 
 
-def causal_tad_scores(model: CausalTAD, batch: EncodedBatch) -> np.ndarray:
-    """Reference for :meth:`CausalTAD.score_batch`: Eq. (10) at the configured λ."""
-    lam = model.config.lambda_weight
+def _eval_forward(model: CausalTAD, batch: EncodedBatch) -> TGVAEOutput:
+    """:func:`tg_vae_forward` in eval mode, without a graph, mode restored after."""
     was_training = model.training
     model.eval()
     try:
         with no_grad():
-            output = tg_vae_forward(
+            return tg_vae_forward(
                 model.tg_vae, batch, model.road_graph, deterministic_latent=True
             )
-            likelihood = output.trajectory_nll + output.sd_nll + output.kl
-            if lam == 0.0:
-                return likelihood
-            return likelihood - lam * model._sum_scaling(batch, model.scaling_factors())
     finally:
         model.train(was_training)
+
+
+def causal_tad_scores(
+    model: CausalTAD, batch: EncodedBatch, use_scaling: bool = True
+) -> np.ndarray:
+    """Reference for :meth:`CausalTAD.score_batch`: Eq. (10) at the configured λ."""
+    lam = model.config.lambda_weight
+    output = _eval_forward(model, batch)
+    likelihood = output.trajectory_nll + output.sd_nll + output.kl
+    if not use_scaling or lam == 0.0:
+        return likelihood
+    return likelihood - lam * model._sum_scaling(batch, model.scaling_factors())
+
+
+def segment_score_breakdown(
+    model: CausalTAD, trajectory: MapMatchedTrajectory
+) -> SegmentScoreBreakdown:
+    """Reference for :meth:`CausalTAD.segment_score_breakdown` at the configured λ."""
+    lam = model.config.lambda_weight
+    batch = encode_batch([trajectory], model.config.num_segments)
+    output = _eval_forward(model, batch)
+    scaling = model.scaling_factors()
+    targets = np.asarray(trajectory.segments[1:], dtype=np.int64)
+    likelihood_scores = -output.step_log_probs[0][: len(targets)]
+    likelihood = float(output.trajectory_nll[0] + output.sd_nll[0] + output.kl[0])
+    return SegmentScoreBreakdown(
+        segments=targets,
+        likelihood_scores=likelihood_scores,
+        scaling_scores=scaling[targets],
+        debiased_scores=likelihood_scores - lam * scaling[targets],
+        total_score=likelihood - lam * float(model._sum_scaling(batch, scaling)[0]),
+    )
+
+
+def session_start(
+    model: CausalTAD, sources: np.ndarray, destinations: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference for :func:`~repro.core.scoring_kernel.init_session_states`.
+
+    The Tensor-module session start: SD encoding, SD decoding and KL through
+    the model's modules under ``no_grad``.  Returns ``(fixed_scores,
+    hidden)``: SD reconstruction + unweighted KL, and ``tanh(W r + b)`` at
+    the posterior mean ``r``.
+    """
+    tg = model.tg_vae
+    sources = np.asarray(sources, dtype=np.int64)
+    destinations = np.asarray(destinations, dtype=np.int64)
+    with no_grad():
+        mu, logvar = tg.encode_sd(sources, destinations)
+        latent = tg.sample_latent(mu, logvar, deterministic=True)
+
+        fixed = np.zeros(sources.shape[0], dtype=np.float64)
+        if model.config.use_sd_decoder:
+            source_logits, destination_logits = tg.decode_sd(latent)
+            rows = np.arange(sources.shape[0])
+            source_lp = log_softmax(source_logits, axis=-1).data[rows, sources]
+            destination_lp = log_softmax(destination_logits, axis=-1).data[rows, destinations]
+            fixed += -(source_lp + destination_lp)
+        kl = 0.5 * (np.exp(logvar.data) + mu.data**2 - 1.0 - logvar.data).sum(axis=-1)
+        fixed += kl
+
+        hidden = tg.latent_to_hidden(latent).tanh().data
+    return fixed, hidden
 
 
 def seq2seq_forward(
@@ -277,3 +340,22 @@ def seq2seq_forward(
     per_trajectory = reconstruction + kl * variant.beta
     loss = per_trajectory.mean() + factor_term * variant.factor_gamma
     return Seq2SeqOutput(loss=loss, per_trajectory_nll=per_trajectory.data.copy())
+
+
+def seq2seq_scores(
+    model: Seq2SeqVAEModel, dataset: TrajectoryDataset, batch_size: int = 16
+) -> np.ndarray:
+    """Reference for :meth:`Seq2SeqDetector.score`: eval-mode :func:`seq2seq_forward`."""
+    scores = np.empty(len(dataset), dtype=np.float64)
+    cursor = 0
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            for batch in dataset.iter_batches(batch_size, shuffle=False):
+                batch_scores = seq2seq_forward(model, batch).per_trajectory_nll
+                scores[cursor : cursor + len(batch_scores)] = batch_scores
+                cursor += len(batch_scores)
+    finally:
+        model.train(was_training)
+    return scores

@@ -36,6 +36,17 @@ def trajectories(benchmark_data):
     return benchmark_data.id_test.trajectories[:8]
 
 
+def _spur_model() -> CausalTAD:
+    """A model on a four-node line whose segment 4 is a one-way dead-end spur."""
+    net = RoadNetwork(name="dead-end")
+    for node, (x, y) in enumerate([(0, 0), (100, 0), (200, 0), (200, 100)]):
+        net.add_intersection(node, x, y)
+    net.add_bidirectional_road(0, 1)  # segments 0: 0->1, 1: 1->0
+    net.add_bidirectional_road(1, 2)  # segments 2: 1->2, 3: 2->1
+    net.add_segment(2, 3)  # segment 4: one-way spur into dead-end node 3
+    return CausalTAD(CausalTADConfig.tiny(net.num_segments), network=net, rng=RandomState(0))
+
+
 class TestLifecycle:
     def test_run_finishes_every_ride(self, model, trajectories):
         engine = FleetEngine(model)
@@ -104,7 +115,8 @@ class TestLifecycle:
         engine.telemetry.latency_window = 4
         for _ in range(20):
             engine.tick()
-        assert len(engine.telemetry.stopwatch.records["tick"]) == 4
+        window = engine.telemetry.registry.get("fleet/tick_seconds").values()
+        assert len(window) == 4
         assert engine.telemetry.ticks == 20
         assert engine.telemetry.p95_tick_seconds >= 0
 
@@ -164,13 +176,7 @@ class TestLifecycle:
 
     def test_dead_end_ride_does_not_stall_co_batched_rides(self, caplog):
         """A ride on a segment with no successor loses only its own observation."""
-        net = RoadNetwork(name="dead-end")
-        for node, (x, y) in enumerate([(0, 0), (100, 0), (200, 0), (200, 100)]):
-            net.add_intersection(node, x, y)
-        net.add_bidirectional_road(0, 1)  # segments 0: 0->1, 1: 1->0
-        net.add_bidirectional_road(1, 2)  # segments 2: 1->2, 3: 2->1
-        net.add_segment(2, 3)  # segment 4: one-way spur into dead-end node 3
-        model = CausalTAD(CausalTADConfig.tiny(net.num_segments), network=net, rng=RandomState(0))
+        model = _spur_model()
         engine = FleetEngine(model)
         engine.submit(RideStart("healthy", SDPair(0, 3), 0))
         engine.submit(RideStart("stuck", SDPair(2, 4), 4))
@@ -200,6 +206,16 @@ class TestLifecycle:
             model.score_trajectory(MapMatchedTrajectory("healthy", (0, 2, 3))),
             rel=1e-12, abs=1e-12,
         )
+
+    def test_dead_end_session_update_names_the_segment(self):
+        """``OnlineSession.update`` off a dead end raises, naming it, and changes nothing."""
+        session = OnlineDetector(_spur_model()).start_session(SDPair(2, 4), 4)
+        score, segments = session.current_score, list(session.segments)
+        with pytest.raises(ValueError, match=r"\bsegment 4\b.*no successor"):
+            session.update(3)
+        assert session.current_score == score
+        assert session.segments == segments
+        assert session.updates == []
 
     def test_end_defers_until_observations_drain(self, model, trajectories):
         trajectory = trajectories[0]

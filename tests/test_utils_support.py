@@ -10,7 +10,6 @@ import pytest
 
 from repro.utils import (
     RandomState,
-    Stopwatch,
     Timer,
     format_duration,
     get_logger,
@@ -98,24 +97,6 @@ class TestTiming:
         with Timer() as timer:
             time.sleep(0.01)
         assert timer.elapsed >= 0.005
-
-    def test_stopwatch_accumulates(self):
-        stopwatch = Stopwatch()
-        stopwatch.add("step", 1.0)
-        stopwatch.add("step", 3.0)
-        assert stopwatch.total("step") == pytest.approx(4.0)
-        assert stopwatch.mean("step") == pytest.approx(2.0)
-        assert stopwatch.count("step") == 2
-        assert stopwatch.total("missing") == 0.0
-        assert stopwatch.mean("missing") == 0.0
-
-    def test_stopwatch_context(self):
-        stopwatch = Stopwatch()
-        with stopwatch.time("block"):
-            time.sleep(0.005)
-        assert stopwatch.count("block") == 1
-        summary = stopwatch.summary()
-        assert summary["block"]["count"] == 1.0
 
     @pytest.mark.parametrize(
         "seconds, expected_suffix",

@@ -3,8 +3,8 @@
 
 The benchmarks (run with ``REPRO_BENCH_ARTIFACTS=<dir>``) each drop a timing
 JSON into ``<dir>``.  This tool folds the *gated ratio metrics* of those
-artifacts — speedups, which divide out machine speed — into one committed
-baseline file per benchmark area at the repository root:
+artifacts — speedups and throughput ratios, which divide out machine speed —
+into one committed baseline file per benchmark area at the repository root:
 
 ========================  =====================================================
 ``BENCH_train.json``      ``bench_train_fused`` (tg_speedup, full_speedup)
@@ -12,14 +12,17 @@ baseline file per benchmark area at the repository root:
                           ``_dijkstra`` (each contributes ``<part>.speedup``)
 ``BENCH_scoring.json``    ``bench_score_throughput`` (score_speedup,
                           sweep_speedup)
-``BENCH_fleet.json``      ``bench_fleet_throughput`` (speedup)
+``BENCH_fleet.json``      ``bench_fleet_throughput`` (fleet_over_offline:
+                          fleet segments/s over offline scoring's on the
+                          same rides)
 ========================  =====================================================
 
 Together the committed files are the repo's perf trajectory:
 ``benchmarks/support.baseline_floor`` ratchets each bench gate up to
 ``baseline * (1 - tolerance)`` (never below the fixed floor), and CI's
 ``--check`` mode fails the build when a fresh run regresses beyond the same
-tolerance.
+tolerance.  Refreshing an area drops any recorded metric that no artifact of
+the area produces any more, so a retired gate leaves no stale baseline.
 
 Usage::
 
@@ -65,7 +68,7 @@ AREAS: Dict[str, Dict[str, Dict[str, str]]] = {
         },
     },
     "fleet": {
-        "bench_fleet_throughput": {"speedup": "speedup"},
+        "bench_fleet_throughput": {"fleet_over_offline": "fleet_over_offline"},
     },
 }
 
@@ -106,7 +109,12 @@ def update(artifacts_dir: str, root: str, log=print) -> int:
             continue
         path = _baseline_path(area, root)
         existing = _load_json(path) or {}
-        metrics = dict(existing.get("metrics", {}))
+        gated = {target for mapping in AREAS[area].values() for target in mapping.values()}
+        metrics = {
+            name: value
+            for name, value in existing.get("metrics", {}).items()
+            if name in gated
+        }
         metrics.update(measured)
         scale = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
         baseline = {
@@ -114,7 +122,7 @@ def update(artifacts_dir: str, root: str, log=print) -> int:
             "scale": scale,
             "metrics": {name: round(value, 4) for name, value in sorted(metrics.items())},
             "sources": sorted(AREAS[area]),
-            "note": "speedup ratios only (machine speed divides out); "
+            "note": "ratios only (machine speed divides out); "
             "refreshed by tools/update_bench_baselines.py",
         }
         with open(path, "w", encoding="utf-8") as handle:
