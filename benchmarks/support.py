@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Sequence
+
+import numpy as np
 
 from repro.baselines import (
     BetaVAEDetector,
@@ -26,6 +28,7 @@ from repro.baselines import (
 from repro.core import TrainingConfig
 from repro.trajectory import BenchmarkConfig, SimulatorConfig
 from repro.utils import RandomState
+from repro.utils.timing import Timer
 
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
@@ -52,6 +55,7 @@ __all__ = [
     "write_timing_artifact",
     "load_bench_baseline",
     "baseline_floor",
+    "interleaved_medians",
 ]
 
 
@@ -95,6 +99,27 @@ def baseline_floor(area: str, metric: str, fixed_floor: float) -> float:
     if recorded is None:
         return fixed_floor
     return max(fixed_floor, float(recorded) * (1.0 - BENCH_BASELINE_TOLERANCE))
+
+
+def interleaved_medians(
+    steps: Sequence[Callable[[], Any]], warmups: int, repeats: int
+) -> List[float]:
+    """Median wall time of each step, repeats interleaved so load drift hits all.
+
+    Every step runs ``warmups`` times first; then each repeat runs every step
+    once, in order.  A ratio of two medians measured this way moves only with
+    what differs between the steps, not with how fast the host ran meanwhile.
+    """
+    for _ in range(warmups):
+        for step in steps:
+            step()
+    samples: List[List[float]] = [[] for _ in steps]
+    for _ in range(repeats):
+        for times, step in zip(samples, steps):
+            with Timer() as timer:
+                step()
+            times.append(timer.elapsed)
+    return [float(np.median(times)) for times in samples]
 
 
 def benchmark_config() -> BenchmarkConfig:

@@ -24,12 +24,11 @@ nothing got slower.
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks.support import (
     BENCH_SCALE,
     BENCH_SEED,
     baseline_floor,
+    interleaved_medians,
     write_timing_artifact,
 )
 from repro.core import CausalTAD, CausalTADConfig, OnlineDetector
@@ -91,20 +90,6 @@ def _serving_model(data) -> CausalTAD:
     return model
 
 
-def _interleaved_medians(steps, warmups=WARMUPS, repeats=REPEATS):
-    """Median wall time of each step, repeats interleaved so load drift hits all."""
-    for _ in range(warmups):
-        for step in steps:
-            step()
-    samples = [[] for _ in steps]
-    for _ in range(repeats):
-        for times, step in zip(samples, steps):
-            with Timer() as timer:
-                step()
-            times.append(timer.elapsed)
-    return [float(np.median(times)) for times in samples]
-
-
 def test_bench_fleet_throughput(xian_data):
     rides = _fleet_rides(xian_data, CONCURRENT_RIDES)
     model = _serving_model(xian_data)
@@ -134,11 +119,13 @@ def test_bench_fleet_throughput(xian_data):
     )
 
     # --- the gate: fleet against offline scoring of the same rides -------- #
-    fleet_seconds, offline_seconds = _interleaved_medians(
+    fleet_seconds, offline_seconds = interleaved_medians(
         [
             lambda: FleetEngine(model).run(replay_trajectories(rides)),
             lambda: model.score_dataset(dataset),
-        ]
+        ],
+        warmups=WARMUPS,
+        repeats=REPEATS,
     )
     fleet_rate = total_segments / fleet_seconds
     offline_rate = total_segments / offline_seconds

@@ -1,30 +1,41 @@
-"""Benchmark — graph-free batched scoring vs the ``no_grad`` Tensor path.
+"""Benchmark — dataset scoring and the λ sweep on the numpy inference engine.
 
 The offline evaluation layer (Tables I–III, Figs. 4–8) scores datasets through
-``CausalTAD.score_dataset``.  Historically that ran the full autograd
-``TGVAE.forward`` per batch; the inference engine
-(:mod:`repro.core.inference`) replaces it with a pure-numpy mirror that
+``CausalTAD.score_dataset``, which runs the inference engine
+(:mod:`repro.core.inference`):
 
-* never materialises the ``(batch, time, vocab)`` decoder logits on
-  road-constrained models (hidden states are contracted against only the
-  successor weight columns — O(out-degree) per step instead of O(vocab)),
-* packs length-bucketed batches into reusable workspaces, and
-* returns a :class:`~repro.core.inference.ScoreDecomposition` so the Fig. 8
-  λ sweep scores the dataset **once** and evaluates the whole grid as a
-  vectorized ``likelihood − λ ⊗ scaling`` outer product.
+* road-constrained decoder states are contracted against only the successor
+  weight columns (O(out-degree) per step instead of O(vocab)), so the
+  ``(batch, time, vocab)`` logits never exist;
+* length-bucketed batches reuse one set of workspaces;
+* a :class:`~repro.core.inference.ScoreDecomposition` lets the Fig. 8 λ sweep
+  score the dataset **once** and evaluate the whole grid as a vectorized
+  ``likelihood − λ ⊗ scaling`` outer product.
 
-Gates:
+Gates, on medians of interleaved repeats:
 
-* batched dataset scoring at least **3×** faster than the Tensor path;
-* the λ sweep performs **exactly one** dataset pass for the whole grid and
-  beats the per-λ Tensor loop by at least **4×** at 6 grid points;
-* maximum score drift vs the graph path at most **1e-10** (measured ~1e-14).
+* **dataset scoring** — decoder positions scored per probe-second: positions
+  ÷ (``score_dataset`` seconds ÷ seconds of ``bench``'s host-speed probe,
+  :func:`bench.workloads.probe_seconds`), at least the committed
+  ``BENCH_scoring.json`` value × 0.75.  The probe divides out how fast the
+  host runs; an engine that projects every state onto all segments before
+  its softmax reads about 0.4 of the baseline.
+* **λ sweep** — one ``score_dataset`` pass ÷ one ``lambda_sweep_scores``
+  call of the same engine.  One pass for the whole grid reads about 1; a
+  sweep that makes one pass per λ reads about 1 / ``len(LAMBDAS)``.  The
+  sweep must also run exactly one dataset pass.
+* maximum score drift vs the Tensor path (``engine="graph"``) at most
+  **1e-10**.
+
+The Tensor path used to be the denominator of both speed gates.  Since the
+training loss runs the engine's successor step, that path no longer projects
+onto the vocabulary either, so a ratio against it measured the Tensor
+bookkeeping rather than the engine.  Its time over the engine's is printed
+and recorded as information only.
 
 The city is generated at a paper-realistic road-network scale (~1200 directed
-segments — the 9×9 benchmark city's ~290 segments understate the win because
-the O(vocab) projection the engine eliminates is small there), and the scored
-trajectories are road-constrained walks in the length regime of the paper's
-real Xi'an/Chengdu data.
+segments), and the scored trajectories are road-constrained walks in the
+length regime of the paper's real Xi'an/Chengdu data.
 
 Timing JSON is written via ``REPRO_BENCH_ARTIFACTS`` for the CI artifact.
 """
@@ -33,10 +44,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from bench.workloads import probe_seconds
 from benchmarks.support import (
     BENCH_SCALE,
     BENCH_SEED,
     baseline_floor,
+    interleaved_medians,
     write_timing_artifact,
 )
 from repro.core import CausalTAD, CausalTADConfig
@@ -44,16 +57,21 @@ from repro.roadnet import CityConfig, generate_arterial_city
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
-from repro.utils.timing import Timer, format_duration
+from repro.utils.timing import format_duration
 
-MIN_SCORE_SPEEDUP = 3.0
-MIN_SWEEP_SPEEDUP = 4.0
+#: Fixed floors, set from the measured spread on a 2-vCPU host (see
+#: CHANGES.md): unchanged code read 760–970 positions per probe-second and a
+#: score/sweep ratio of 0.92–1.11 over 30 runs; an engine that projects onto
+#: all segments read 355–391, a sweep with one pass per λ 0.15–0.18.
+MIN_POSITIONS_PER_PROBE_SECOND = 500.0
+MIN_SCORE_OVER_SWEEP = 0.6
 DRIFT_ATOL = 1e-10
 LAMBDAS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)
 CITY_ROWS = 18
 NUM_TRAJECTORIES = 320 if BENCH_SCALE == "full" else 224
 MIN_WALK, MAX_WALK = 24, 96
-ROUNDS = 5
+WARMUPS = 2
+REPEATS = 9
 
 
 def _walk_dataset(network, num_segments: int, count: int) -> TrajectoryDataset:
@@ -81,20 +99,6 @@ def _graph_sweep(model, dataset):
     )
 
 
-def _interleaved_best(step_a, step_b, rounds=ROUNDS):
-    """Best-of wall times, rounds interleaved so load drift hits both paths."""
-    step_a(), step_b()
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        with Timer() as timer:
-            step_a()
-        best_a = min(best_a, timer.elapsed)
-        with Timer() as timer:
-            step_b()
-        best_b = min(best_b, timer.elapsed)
-    return best_a, best_b
-
-
 def test_bench_score_throughput_and_lambda_sweep():
     city = generate_arterial_city(
         CityConfig(name="score-bench", rows=CITY_ROWS, cols=CITY_ROWS, num_pois=5),
@@ -106,8 +110,8 @@ def test_bench_score_throughput_and_lambda_sweep():
     model = CausalTAD(
         CausalTADConfig.small(num_segments), network=network, rng=RandomState(BENCH_SEED)
     )
-    # Precompute the RP-VAE scaling cache so neither path pays it inside the
-    # timed region (the paper precomputes it once per trained model).
+    # Precompute the RP-VAE scaling cache so no timed call pays it (the paper
+    # precomputes it once per trained model).
     model.scaling_factors()
     engine = model.inference_engine()
 
@@ -116,13 +120,6 @@ def test_bench_score_throughput_and_lambda_sweep():
     numpy_scores = model.score_dataset(dataset, engine="numpy")
     score_drift = float(np.abs(graph_scores - numpy_scores).max())
     assert score_drift <= DRIFT_ATOL, f"score drift {score_drift:.2e} > {DRIFT_ATOL}"
-
-    # --- batched dataset scoring ----------------------------------------- #
-    graph_time, numpy_time = _interleaved_best(
-        lambda: model.score_dataset(dataset, engine="graph"),
-        lambda: model.score_dataset(dataset, engine="numpy"),
-    )
-    score_speedup = graph_time / numpy_time
 
     # --- Fig. 8 λ sweep: one forward for the whole grid ------------------- #
     engine.stats.reset()
@@ -136,26 +133,41 @@ def test_bench_score_throughput_and_lambda_sweep():
     sweep_drift = float(np.abs(sweep - graph_sweep).max())
     assert sweep_drift <= DRIFT_ATOL, f"λ-sweep drift {sweep_drift:.2e} > {DRIFT_ATOL}"
 
-    graph_sweep_time, numpy_sweep_time = _interleaved_best(
-        lambda: _graph_sweep(model, dataset),
-        lambda: model.lambda_sweep_scores(dataset, LAMBDAS),
-        rounds=2,
+    # --- timings: probe, engine pass, engine sweep, Tensor pass ----------- #
+    probe_time, score_time, sweep_time, graph_time = interleaved_medians(
+        [
+            probe_seconds,
+            lambda: model.score_dataset(dataset),
+            lambda: model.lambda_sweep_scores(dataset, LAMBDAS),
+            lambda: model.score_dataset(dataset, engine="graph"),
+        ],
+        warmups=WARMUPS,
+        repeats=REPEATS,
     )
-    sweep_speedup = graph_sweep_time / numpy_sweep_time
+    positions = int(sum(len(item.trajectory) - 1 for item in dataset))
+    positions_per_probe_second = positions * probe_time / score_time
+    score_over_sweep = score_time / sweep_time
+    graph_over_numpy = graph_time / score_time
 
     mean_length = dataset.mean_length()
     print()
     print(
-        f"Offline scoring of {len(dataset)} walks (mean {mean_length:.0f} segments) "
-        f"on a {num_segments}-segment network:"
+        f"Offline scoring of {len(dataset)} walks (mean {mean_length:.0f} segments, "
+        f"{positions} positions) on a {num_segments}-segment network, medians of "
+        f"{REPEATS} interleaved repeats:"
     )
     print(
-        f"  score_dataset      graph {format_duration(graph_time)}  "
-        f"numpy {format_duration(numpy_time)}  speedup {score_speedup:.1f}x"
+        f"  score_dataset      {format_duration(score_time)}  probe "
+        f"{format_duration(probe_time)}  {positions_per_probe_second:,.0f} "
+        "positions per probe-second"
     )
     print(
-        f"  λ sweep ({len(LAMBDAS)} pts)   graph {format_duration(graph_sweep_time)}  "
-        f"numpy {format_duration(numpy_sweep_time)}  speedup {sweep_speedup:.1f}x"
+        f"  λ sweep ({len(LAMBDAS)} pts)   {format_duration(sweep_time)}  "
+        f"score / sweep {score_over_sweep:.2f}"
+    )
+    print(
+        f"  Tensor path        {format_duration(graph_time)}  graph / numpy "
+        f"{graph_over_numpy:.2f} (not gated)"
     )
     print(f"  max score drift    {score_drift:.2e}   sweep drift {sweep_drift:.2e}")
 
@@ -165,28 +177,32 @@ def test_bench_score_throughput_and_lambda_sweep():
             "num_segments": num_segments,
             "num_trajectories": len(dataset),
             "mean_length": mean_length,
+            "positions": positions,
+            "probe_seconds": probe_time,
+            "numpy_score_seconds": score_time,
+            "numpy_sweep_seconds": sweep_time,
             "graph_score_seconds": graph_time,
-            "numpy_score_seconds": numpy_time,
-            "score_speedup": score_speedup,
-            "graph_sweep_seconds": graph_sweep_time,
-            "numpy_sweep_seconds": numpy_sweep_time,
-            "sweep_speedup": sweep_speedup,
+            "positions_per_probe_second": positions_per_probe_second,
+            "score_over_sweep": score_over_sweep,
+            "graph_over_numpy": graph_over_numpy,
             "lambda_grid": list(LAMBDAS),
             "sweep_dataset_passes": 1,
             "score_drift": score_drift,
             "sweep_drift": sweep_drift,
-            "min_score_speedup_required": MIN_SCORE_SPEEDUP,
-            "min_sweep_speedup_required": MIN_SWEEP_SPEEDUP,
+            "min_positions_per_probe_second_required": MIN_POSITIONS_PER_PROBE_SECOND,
+            "min_score_over_sweep_required": MIN_SCORE_OVER_SWEEP,
         },
     )
 
-    score_floor = baseline_floor("scoring", "score_speedup", MIN_SCORE_SPEEDUP)
-    assert score_speedup >= score_floor, (
-        f"numpy engine only {score_speedup:.1f}x faster than the no_grad "
-        f"Tensor path (required {score_floor:.1f}x)"
+    rate_floor = baseline_floor(
+        "scoring", "positions_per_probe_second", MIN_POSITIONS_PER_PROBE_SECOND
     )
-    sweep_floor = baseline_floor("scoring", "sweep_speedup", MIN_SWEEP_SPEEDUP)
-    assert sweep_speedup >= sweep_floor, (
-        f"single-forward λ sweep only {sweep_speedup:.1f}x faster than the "
-        f"per-λ Tensor loop (required {sweep_floor:.1f}x)"
+    assert positions_per_probe_second >= rate_floor, (
+        f"the engine scores only {positions_per_probe_second:,.0f} positions per "
+        f"probe-second (required {rate_floor:,.0f})"
+    )
+    sweep_floor = baseline_floor("scoring", "score_over_sweep", MIN_SCORE_OVER_SWEEP)
+    assert score_over_sweep >= sweep_floor, (
+        f"one λ sweep takes {1 / score_over_sweep:.2f} dataset passes' time "
+        f"(score / sweep {score_over_sweep:.2f}, required {sweep_floor:.2f})"
     )

@@ -10,10 +10,7 @@ from repro.core.inference import (
     InferenceEngine,
     ScoreDecomposition,
     Seq2SeqInferenceEngine,
-    gather_log_softmax,
     resolve_engine,
-    successor_log_softmax_nll,
-    successor_step_nll,
 )
 from repro.core.tg_vae import TGVAE, TGVAEOutput
 from repro.core.rp_vae import RPVAE, RPVAEOutput
@@ -51,8 +48,5 @@ __all__ = [
     "Seq2SeqInferenceEngine",
     "ScoreDecomposition",
     "EngineStats",
-    "gather_log_softmax",
-    "successor_log_softmax_nll",
-    "successor_step_nll",
     "resolve_engine",
 ]

@@ -11,19 +11,22 @@ per λ even though λ only enters as a scalar weight at composition time.
 
 This module is the offline counterpart of :mod:`repro.core.scoring_kernel`
 (which vectorizes the *online* per-segment update): a pure-numpy,
-allocation-reusing batched scorer that mirrors the eval-mode forwards
-operation-for-operation.  The GRU recurrence is
-:func:`repro.nn.fused.gru_unroll` — the unroll training runs, over the one
-:func:`~repro.nn.fused.gru_step` serving also calls — and the per-step
-arithmetic after the GRU is shared with the serving kernel (below), so
-offline, online and fleet step scores agree.
+allocation-reusing batched scorer that composes the eval-mode forward from
+the arithmetic the training kernels run, with no copy of its own.  The layers
+are their ``infer`` methods (``Linear``, ``MLP``, ``GaussianHead``), the GRU
+recurrence is :func:`repro.nn.fused.gru_unroll` over the one
+:func:`~repro.nn.fused.gru_step`, and the decoder softmax is
+:func:`~repro.nn.fused.successor_step_nll` — the forward of the training loss
+:func:`~repro.nn.fused.fused_successor_nll` — or, without a road constraint,
+:func:`~repro.nn.fused.gather_log_softmax`, the forward of
+:func:`~repro.nn.fused.fused_masked_nll`.  The serving kernel runs the same
+functions, so training, offline, online and fleet step scores agree.
 
 * :class:`InferenceEngine` — scores CausalTAD batches/datasets without
   building a single Tensor.  Road-constrained batches never materialise the
   ``(batch, time, vocab)`` logits: the decoder hidden states are contracted
   against only the gathered successor weight columns (O(out-degree) per step
-  instead of O(vocab)), mirroring :func:`~repro.nn.fused.fused_successor_nll`
-  arithmetic on sparsely computed candidates.
+  instead of O(vocab)).
 * :class:`ScoreDecomposition` — the reusable result: per-trajectory
   ``trajectory_nll`` / ``sd_nll`` / ``kl``, per-step log-probabilities and
   per-trajectory scaling sums.  Every downstream consumer composes scores
@@ -33,11 +36,7 @@ offline, online and fleet step scores agree.
   baseline family (SAE / VSAE / β-VAE / FactorVAE / GM-VSAE / DeepTEA).
 * :func:`sd_forward` — the SD half of the forward (SD reconstruction, KL and
   the decoder's initial state), which the online kernel runs at session
-  start; :func:`successor_step_nll` — the road-constrained step NLL from
-  decoder hidden states (successor-column contraction + sparse log-softmax);
-  and the numpy softmax/NLL mirrors :func:`gather_log_softmax` /
-  :func:`successor_log_softmax_nll` — all shared with the online serving
-  kernel, so serving and offline scoring run one implementation.
+  start.
 
 Datasets are scored in length-bucketed batches (near-homogeneous lengths, so
 padded GRU steps are almost eliminated) through per-bucket workspaces that are
@@ -45,7 +44,7 @@ reused across batches; results are scattered back into dataset order.  This
 is the only eval-mode scoring path of the library.  The Tensor forward
 remains as one reference, ``CausalTAD.score_dataset(engine="graph")``:
 ``tests/core/test_inference_engine.py`` pins the two paths together and
-``benchmarks/test_bench_score_throughput.py`` gates the speedup.
+``benchmarks/test_bench_score_throughput.py`` gates the engine's throughput.
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.nn.functional import NEG_INF
-from repro.nn.fused import gru_unroll
-from repro.nn.layers import Activation, Dropout, Linear, MLP
+from repro.nn.functional import logsumexp_forward
+from repro.nn.fused import gather_log_softmax, gaussian_kl_forward, gru_unroll, successor_step_nll
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -73,9 +71,6 @@ __all__ = [
     "Seq2SeqInferenceEngine",
     "EngineStats",
     "Workspace",
-    "gather_log_softmax",
-    "successor_log_softmax_nll",
-    "successor_step_nll",
     "sd_forward",
     "resolve_engine",
     "DEFAULT_ENGINE",
@@ -99,97 +94,6 @@ def resolve_engine(engine: Optional[str]) -> str:
     if engine not in ("numpy", "graph"):
         raise ValueError(f"unknown inference engine {engine!r}; choose 'numpy' or 'graph'")
     return engine
-
-
-# --------------------------------------------------------------------------- #
-# shared numpy softmax / NLL mirrors (one arithmetic source of truth)
-# --------------------------------------------------------------------------- #
-def gather_log_softmax(logits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``log_softmax(logits)[rows, cols]`` without materialising the matrix.
-
-    Same arithmetic as :func:`repro.nn.log_softmax` (max-shift, exp-sum, log)
-    but only the gathered entries are computed, saving two full-width
-    ``(batch, vocab)`` array writes.  Shared by the online serving kernel
-    (:func:`repro.core.scoring_kernel.advance_sessions`) and the offline
-    engine's unconstrained scorer, so both score paths agree bit-for-bit.
-    """
-    maxima = logits.max(axis=-1)
-    sums = np.exp(logits - maxima[:, None]).sum(axis=-1)
-    return (logits[rows, cols] - maxima) - np.log(sums)
-
-
-def successor_log_softmax_nll(
-    cand: np.ndarray,
-    cand_valid: np.ndarray,
-    picked: np.ndarray,
-    target_allowed: np.ndarray,
-) -> np.ndarray:
-    """NLL of ``picked`` logits normalised over gathered successor candidates.
-
-    The sparse road-constrained log-softmax of the paper's decoder, on
-    *already gathered* candidate logits: ``cand`` holds each position's
-    successor-set logits ``(..., max_degree)`` (padded slots marked False in
-    ``cand_valid``), ``picked`` the target's logit ``(...)`` and
-    ``target_allowed`` whether that target is a graph successor (disallowed
-    targets get the dense path's ``NEG_INF`` log-probability).
-
-    Mirrors :func:`repro.nn.fused.fused_successor_nll` operation-for-operation
-    (including the degenerate dead-end-row guard), so the offline engine, the
-    online serving kernel and the fused training loss all produce identical
-    step scores.  Callers are responsible for rejecting degenerate rows that
-    are *not* masked out downstream.
-    """
-    has_successor = cand_valid.any(axis=-1)
-    shift = np.max(cand, axis=-1, keepdims=True, where=cand_valid, initial=NEG_INF)
-    exp_shifted = np.exp(np.minimum(cand - shift, 0.0))
-    exp_shifted *= cand_valid
-    sum_exp = exp_shifted.sum(axis=-1, keepdims=True)
-    if not has_successor.all():
-        sum_exp = np.where(has_successor[..., None], sum_exp, 1.0)
-    log_z = np.log(sum_exp)
-    picked = np.where(target_allowed, picked, NEG_INF)[..., None]
-    return (log_z - (picked - shift))[..., 0]
-
-
-def successor_step_nll(
-    hidden: np.ndarray,
-    weight_t: np.ndarray,
-    bias: np.ndarray,
-    cand_idx: np.ndarray,
-    cand_valid: np.ndarray,
-    targets: np.ndarray,
-    target_allowed: np.ndarray,
-    cand_weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Road-constrained step NLL straight from decoder hidden states.
-
-    Contracts ``hidden`` ``(..., H)`` against only the output-projection
-    columns of each position's successors, so the ``(..., vocab)`` logits
-    never exist: ``weight_t`` is the transposed projection weight ``(vocab,
-    H)``, ``bias`` its ``(vocab,)`` bias, ``cand_idx`` / ``cand_valid`` the
-    successor tables gathered at the current segments ``(..., max_degree)``
-    and ``targets`` / ``target_allowed`` the entered segment and whether it is
-    a successor ``(...)``.  Any leading shape works: the offline engine passes
-    ``(batch, time)``, the serving kernel ``(rides,)``.
-
-    ``cand_weights`` is an optional ``(..., max_degree, H)`` buffer for the
-    gathered weight rows; the offline engine passes a workspace view and a
-    C-contiguous ``weight_t``.  Without a buffer the rows are gathered by
-    fancy indexing, which reads a transposed view such as ``weight.T`` in
-    place, where ``np.take`` would first copy the whole matrix on every call.
-    Both gathers give the same array.
-    """
-    if cand_weights is None:
-        cand_weights = weight_t[cand_idx]
-    else:
-        # mode="clip" selects the fast unbuffered take; successor-table
-        # entries are in [0, vocab) by construction so it cannot clip.
-        np.take(weight_t, cand_idx, axis=0, out=cand_weights, mode="clip")
-    cand = (cand_weights @ hidden[..., None])[..., 0]
-    cand += bias[cand_idx]
-    picked = (weight_t[targets] * hidden).sum(axis=-1)
-    picked += bias[targets]
-    return successor_log_softmax_nll(cand, cand_valid, picked, target_allowed)
 
 
 # --------------------------------------------------------------------------- #
@@ -245,80 +149,8 @@ class Workspace:
 
 
 # --------------------------------------------------------------------------- #
-# numpy mirrors of the feed-forward building blocks
+# the SD half and the decoder states
 # --------------------------------------------------------------------------- #
-def _linear_np(layer: Linear, x: np.ndarray) -> np.ndarray:
-    """Mirror of :func:`repro.nn.fused.fused_linear` (matmul then in-place bias)."""
-    out = x @ layer.weight.data
-    if layer.bias is not None:
-        out += layer.bias.data
-    return out
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid, bitwise equal to :meth:`Tensor.sigmoid`.
-
-    The Tensor path evaluates ``1 / (1 + exp(-c))`` for ``x >= 0`` and
-    ``exp(c) / (1 + exp(c))`` otherwise, with ``c = clip(x, -60, 60)``.  Both
-    branches share ``e = exp(-|c|)``, so this computes it once and picks each
-    element's branch with ``np.where`` — the same per-element operations,
-    hence the same bits (``min(c, -c)`` keeps a NaN's sign).  Only
-    ``Activation("sigmoid")`` needs it; GRU gates use the tanh form of
-    :func:`repro.nn.fused.gru_step`, as training does.
-    """
-    e = np.clip(x, -60, 60)
-    np.minimum(e, -e, out=e)
-    np.exp(e, out=e)
-    denom = e + 1.0
-    positive = np.divide(1.0, denom)
-    np.divide(e, denom, out=e)
-    return np.where(x >= 0, positive, e)
-
-
-def _activation_np(name: str, x: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(x, 0.0)
-    if name == "tanh":
-        return np.tanh(x)
-    if name == "sigmoid":
-        return _sigmoid_np(x)
-    if name == "identity":
-        return x
-    raise ValueError(f"unknown activation '{name}'")
-
-
-def _mlp_np(mlp: MLP, x: np.ndarray) -> np.ndarray:
-    """Evaluate an :class:`~repro.nn.layers.MLP` on raw arrays (eval mode)."""
-    for layer in mlp.net:
-        if isinstance(layer, Linear):
-            x = _linear_np(layer, x)
-        elif isinstance(layer, Activation):
-            x = _activation_np(layer.name, x)
-        elif isinstance(layer, Dropout):
-            continue  # inactive in eval mode
-        else:  # pragma: no cover - MLP only builds the three kinds above
-            raise TypeError(f"cannot mirror layer {type(layer).__name__}")
-    return x
-
-
-def _gaussian_head_np(head, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    mu = _linear_np(head.mu, x)
-    logvar = np.clip(_linear_np(head.logvar, x), head.LOGVAR_MIN, head.LOGVAR_MAX)
-    return mu, logvar
-
-
-def _gaussian_kl_np(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
-    """Mirror of :func:`repro.nn.fused.fused_gaussian_kl` (per-row KL)."""
-    return (np.exp(logvar) + mu * mu - 1.0 - logvar).sum(axis=-1) * 0.5
-
-
-def _logsumexp_np(x: np.ndarray) -> np.ndarray:
-    """Mirror of :func:`repro.nn.functional.logsumexp` over the last axis."""
-    shift = x.max(axis=-1, keepdims=True)
-    out = np.log(np.exp(x - shift).sum(axis=-1, keepdims=True)) + shift
-    return out[..., 0]
-
-
 def sd_forward(
     tg: "TGVAE",
     sources: np.ndarray,
@@ -343,22 +175,20 @@ def sd_forward(
         joint = np.empty((count, 2 * emb_dim), dtype=np.float64)
     joint[:, :emb_dim] = sd_weight[sources]
     joint[:, emb_dim:] = sd_weight[destinations]
-    mu, logvar = _gaussian_head_np(tg.posterior_head, _mlp_np(tg.sd_encoder, joint))
+    mu, logvar = tg.posterior_head.infer(tg.sd_encoder.infer(joint))
     latent = mu  # posterior mean — the eval-mode deterministic sample
 
     if tg.config.use_sd_decoder:
-        hidden = _mlp_np(tg.sd_decoder_hidden, latent)
+        hidden = tg.sd_decoder_hidden.infer(latent)
         rows = np.arange(count)
-        sd_nll = -gather_log_softmax(_linear_np(tg.source_head, hidden), rows, sources)
-        sd_nll -= gather_log_softmax(
-            _linear_np(tg.destination_head, hidden), rows, destinations
-        )
+        sd_nll = -gather_log_softmax(tg.source_head.infer(hidden), rows, sources)
+        sd_nll -= gather_log_softmax(tg.destination_head.infer(hidden), rows, destinations)
     else:
         sd_nll = np.zeros(count, dtype=np.float64)
 
-    h0 = _linear_np(tg.latent_to_hidden, latent)
+    h0 = tg.latent_to_hidden.infer(latent)
     np.tanh(h0, out=h0)
-    return sd_nll, _gaussian_kl_np(mu, logvar), h0
+    return sd_nll, gaussian_kl_forward(mu, logvar), h0
 
 
 def _gru_states(
@@ -631,10 +461,10 @@ class InferenceEngine:
     ) -> ScoreDecomposition:
         """One batched eval-mode forward, returned as a :class:`ScoreDecomposition`.
 
-        Mirrors ``TGVAE.forward(deterministic_latent=True)`` operation-for-
-        operation; with ``include_scaling`` the RP-VAE per-segment factors
-        (precomputed and cached on the model) are summed per trajectory,
-        otherwise ``scaling_sum`` is zero and the RP-VAE is never touched —
+        ``TGVAE.forward(deterministic_latent=True)`` on raw arrays, through
+        the same layer arithmetic, GRU step and successor step.  With
+        ``include_scaling`` the RP-VAE per-segment factors (precomputed and
+        cached on the model) are summed per trajectory, otherwise ``scaling_sum`` is zero and the RP-VAE is never touched —
         matching the graph path's behaviour for ``use_scaling=False`` scoring.
         """
         model = self.model
@@ -684,28 +514,16 @@ class InferenceEngine:
     def _per_step_nll(self, batch: EncodedBatch, outputs_tm: np.ndarray) -> np.ndarray:
         """Per-position NLL ``(batch, time)`` from time-major decoder states."""
         model = self.model
-        config = model.config
         tg = model.tg_vae
         projection = tg.output_projection
         graph = model.road_graph
         valid = np.asarray(batch.mask, dtype=np.float64)
 
-        if graph is not None and config.road_constrained:
-            # Sparse road-constrained scoring through the successor-step
-            # helper the serving kernel shares: the (batch, time, vocab)
+        if graph is not None and model.config.road_constrained:
+            # Sparse road-constrained scoring through the successor step that
+            # training and the serving kernel run: the (batch, time, vocab)
             # logits never exist.
-            succ_idx, succ_valid = graph.successor_tables()
-            inputs = batch.inputs
-            padded = inputs >= config.num_segments
-            safe_inputs = np.where(padded, 0, inputs)
-            target_allowed = graph.successors_contain(safe_inputs, batch.targets) | padded
-            cand_idx = succ_idx[safe_inputs]            # (batch, time, degree)
-            cand_valid = succ_valid[safe_inputs]
-            degenerate = ~cand_valid.any(axis=-1)
-            if (degenerate & batch.mask).any():
-                raise ValueError(
-                    "fused_successor_nll requires at least one allowed position per row"
-                )
+            cand_idx, cand_valid, target_allowed = tg.successor_candidates(batch, graph)
             weight_t = self._weight_t
             if weight_t is None:  # standalone decompose_batch call
                 weight_t = np.ascontiguousarray(projection.weight.data.T)
@@ -845,19 +663,19 @@ class Seq2SeqInferenceEngine:
 
         kl = np.zeros(batch_size, dtype=np.float64)
         if variant.variational:
-            mu, logvar = _gaussian_head_np(model.posterior_head, final_hidden)
+            mu, logvar = model.posterior_head.infer(final_hidden)
             latent = mu  # deterministic eval-mode sample
             if variant.num_mixture_components > 1:
                 kl = self._mixture_kl(mu, logvar, latent)
             else:
-                kl = _gaussian_kl_np(mu, logvar)
+                kl = gaussian_kl_forward(mu, logvar)
         else:
-            latent = np.tanh(_linear_np(model.bottleneck, final_hidden))
+            latent = np.tanh(model.bottleneck.infer(final_hidden))
 
         # Decoder with teacher forcing over t_1 … t_{n-1}.
         time = batch.inputs.shape[1]
         if time:
-            dec_h0 = _linear_np(model.latent_to_hidden, latent)
+            dec_h0 = model.latent_to_hidden.infer(latent)
             np.tanh(dec_h0, out=dec_h0)
             dec_in = self._embed_steps_tm(
                 batch.inputs, self._time_buckets(batch, time), "dec.x"
@@ -890,7 +708,7 @@ class Seq2SeqInferenceEngine:
         neg_entropy = (logvar + _LOG_2PI + 1.0).sum(axis=-1) * (-0.5)
         diffs = latent[:, None, :] - model.mixture_means.data
         component_log_probs = (diffs * diffs).sum(axis=-1) * (-0.5) - 0.5 * latent_dim * _LOG_2PI
-        log_prior = _logsumexp_np(component_log_probs) - float(np.log(k))
+        log_prior = logsumexp_forward(component_log_probs) - float(np.log(k))
         return neg_entropy - log_prior
 
     # ------------------------------------------------------------------ #

@@ -14,17 +14,18 @@ operations, both of which vectorize cleanly over a batch of concurrent rides:
 :class:`~repro.serving.FleetEngine` calls them with one row per pending ride,
 turning thousands of per-ride Python steps into a handful of matrix ops.
 Offline scoring does not run this module: it runs the batched engine in
-:mod:`repro.core.inference`.  What the two share is the per-step arithmetic
-after the GRU — :func:`~repro.core.inference.successor_step_nll` on
-road-constrained models and :func:`~repro.core.inference.gather_log_softmax`
-on unconstrained ones — so fleet, per-ride and offline step scores agree.
-The GRU step itself is shared with training and offline scoring too:
-:func:`advance_sessions` runs :meth:`GRUCell.step <repro.nn.GRUCell.step>`,
-one :func:`~repro.nn.fused.gru_step` on raw numpy arrays, and never builds
-autograd graphs.  The road constraint is the attached compiled graph only, so
-offline scoring and serving cannot disagree about which segments may follow
-which.  Session start is :func:`~repro.core.inference.sd_forward`, the SD
-half of the offline engine's forward, so no scoring path builds a Tensor.
+:mod:`repro.core.inference`.  This module adds no arithmetic of its own.
+Session start is :func:`~repro.core.inference.sd_forward`, the SD half of the
+offline engine's forward.  Each advance is one
+:func:`~repro.nn.fused.gru_step` (through :meth:`GRUCell.step
+<repro.nn.GRUCell.step>`) and the decoder softmax that training's loss runs
+forward: :func:`~repro.nn.fused.successor_step_nll` on road-constrained
+models, :func:`~repro.nn.fused.gather_log_softmax` on unconstrained ones.  So
+fleet, per-ride and offline step scores agree, and no scoring path builds a
+Tensor.  The road constraint is the attached compiled graph only, and a step
+off a dead-end segment is rejected by the check training and offline scoring
+run too (:meth:`CompiledRoadGraph.step_candidates
+<repro.roadnet.csr.CompiledRoadGraph.step_candidates>`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.causal_tad import CausalTAD
-from repro.core.inference import gather_log_softmax, sd_forward, successor_step_nll
+from repro.core.inference import sd_forward
+from repro.nn.fused import gather_log_softmax, successor_step_nll
 
 __all__ = [
     "SessionInit",
@@ -156,29 +158,26 @@ def advance_sessions(
     :func:`~repro.nn.fused.gru_step` that training and offline scoring
     unroll.  With a road network attached, each ride is projected onto only
     its current segment's successor columns through
-    :func:`~repro.core.inference.successor_step_nll`, the helper the offline
-    engine runs, so no ``(batch, vocab)`` logits are built; an unconstrained
-    model normalises over every segment.  Raises ``ValueError`` when a
-    road-constrained row has no successor (see :func:`can_advance`).
+    :func:`~repro.nn.fused.successor_step_nll`, the step the offline engine
+    and the training loss run, so no ``(batch, vocab)`` logits are built; an
+    unconstrained model normalises over every segment.  Raises
+    ``ValueError`` naming the segment when a road-constrained row has no
+    successor (see :func:`can_advance`).
     """
     config = model.config
     tg = model.tg_vae
     projection = tg.output_projection
     previous_segments = np.asarray(previous_segments, dtype=np.int64)
     next_segments = np.asarray(next_segments, dtype=np.int64)
-
-    movable = can_advance(model, previous_segments)
-    if not movable.all():
-        stuck = int(previous_segments[~movable][0])
-        raise ValueError(f"segment {stuck} has no successor: a ride on it cannot advance")
+    constrained = config.road_constrained and model.road_graph is not None
+    if constrained:
+        cand_idx, cand_valid, allowed_next = model.road_graph.step_candidates(
+            previous_segments, next_segments
+        )
 
     embedded = tg.segment_embedding.weight.data[previous_segments]
     new_hidden = tg.decoder_rnn.cell.step(embedded, hidden)
-    if config.road_constrained and model.road_graph is not None:
-        succ_idx, succ_valid = model.road_graph.successor_tables()
-        cand_idx = succ_idx[previous_segments]
-        cand_valid = succ_valid[previous_segments]
-        allowed_next = ((cand_idx == next_segments[:, None]) & cand_valid).any(axis=-1)
+    if constrained:
         step_likelihoods = successor_step_nll(
             new_hidden,
             projection.weight.data.T,
@@ -189,7 +188,6 @@ def advance_sessions(
             allowed_next,
         )
         return new_hidden, step_likelihoods
-    logits = new_hidden @ projection.weight.data + projection.bias.data
     rows = np.arange(next_segments.shape[0])
-    step_likelihoods = -gather_log_softmax(logits, rows, next_segments)
+    step_likelihoods = -gather_log_softmax(projection.infer(new_hidden), rows, next_segments)
     return new_hidden, step_likelihoods

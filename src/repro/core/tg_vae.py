@@ -19,7 +19,10 @@ Its three parts, all following the paper:
   over the graph successors of the current segment only.  The successor
   sets come from the compiled road graph
   (:class:`~repro.roadnet.csr.CompiledRoadGraph`), the one form of the road
-  constraint the model accepts.
+  constraint the model accepts.  The loss contracts the decoder states
+  against only those successors' output columns
+  (:func:`~repro.nn.fused.fused_successor_nll`), the step offline scoring and
+  serving run too, so no ``(batch, time, vocab)`` logits are built.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from repro.nn import (
     Module,
     Tensor,
     concatenate,
-    cross_entropy_from_logits,
     fused_masked_nll,
     fused_successor_nll,
     gaussian_kl_standard,
@@ -121,12 +123,24 @@ class TGVAE(Module):
         hidden = self.sd_decoder_hidden(latent)
         return self.source_head(hidden), self.destination_head(hidden)
 
-    def decoder_logits(self, latent: Tensor, inputs: np.ndarray) -> Tensor:
-        """Unnormalised next-segment scores ``(batch, time, num_segments)``."""
+    def decoder_states(self, latent: Tensor, inputs: np.ndarray) -> Tensor:
+        """Decoder GRU states ``(batch, time, hidden)``, started from ``tanh(W r + b)``."""
         h0 = self.latent_to_hidden(latent).tanh()
-        embedded = self.segment_embedding(inputs)
-        outputs, _ = self.decoder_rnn(embedded, h0=h0)
-        return self.output_projection(outputs)
+        outputs, _ = self.decoder_rnn(self.segment_embedding(inputs), h0=h0)
+        return outputs
+
+    def successor_candidates(
+        self, batch: EncodedBatch, road_graph: CompiledRoadGraph
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each decoder step's ``(cand_idx, cand_valid, target_allowed)``.
+
+        :meth:`CompiledRoadGraph.step_candidates
+        <repro.roadnet.csr.CompiledRoadGraph.step_candidates>` at the batch's
+        inputs and targets, shared by training and offline scoring.  Padding
+        steps read segment 0's row; the batch mask zeroes their loss.
+        """
+        inputs = np.where(batch.inputs >= self.config.num_segments, 0, batch.inputs)
+        return road_graph.step_candidates(inputs, batch.targets, valid=batch.mask)
 
     # ------------------------------------------------------------------ #
     # full pass
@@ -146,40 +160,35 @@ class TGVAE(Module):
         mu, logvar = self.encode_sd(batch.sources, batch.destinations)
         latent = self.sample_latent(mu, logvar, deterministic=deterministic_latent)
 
-        # Trajectory reconstruction term  Σ_i H(t̂_i, t_i): masked log-softmax
-        # + gather + validity masking in a single graph node, so the (batch,
-        # time, vocab) log-probability tensor never enters the autograd graph.
-        # With a road constraint the loss runs over each step's successor set
-        # only (O(degree) instead of O(vocab) per position).
-        logits = self.decoder_logits(latent, batch.inputs)
+        # Trajectory reconstruction term  Σ_i H(t̂_i, t_i), one graph node.
+        # With a road constraint each state meets only its step's successor
+        # columns of the output projection (O(degree) instead of O(vocab) per
+        # position, and no (batch, time, vocab) logits); without one the
+        # softmax runs over the whole vocabulary.
+        states = self.decoder_states(latent, batch.inputs)
+        projection = self.output_projection
         if road_graph is not None and config.road_constrained:
-            succ_idx, succ_valid = road_graph.successor_tables()
-            inputs = batch.inputs
-            padded = inputs >= config.num_segments
-            safe_inputs = np.where(padded, 0, inputs)
-            target_allowed = road_graph.successors_contain(safe_inputs, batch.targets) | padded
+            cand_idx, cand_valid, target_allowed = self.successor_candidates(batch, road_graph)
             per_step_nll = fused_successor_nll(
-                logits,
+                states,
+                projection.weight,
+                projection.bias,
+                cand_idx,
+                cand_valid,
                 batch.targets,
-                succ_idx[safe_inputs],
-                # Padding rows carry segment 0's successors; the batch mask
-                # zeroes their loss and gradient exactly.
-                succ_valid[safe_inputs],
                 target_allowed,
                 valid_mask=batch.mask,
             )
         else:
-            per_step_nll = fused_masked_nll(logits, batch.targets, valid_mask=batch.mask)
+            per_step_nll = fused_masked_nll(projection(states), batch.targets, valid_mask=batch.mask)
         trajectory_nll = per_step_nll.sum(axis=1)
 
-        # SD reconstruction term  H(ŝ, s) + H(d̂, d).
+        # SD reconstruction term  H(ŝ, s) + H(d̂, d), on the softmax scoring runs.
         if config.use_sd_decoder:
             source_logits, destination_logits = self.decode_sd(latent)
-            source_nll = cross_entropy_from_logits(source_logits, batch.sources, reduction="none")
-            destination_nll = cross_entropy_from_logits(
-                destination_logits, batch.destinations, reduction="none"
+            sd_nll = fused_masked_nll(source_logits, batch.sources) + fused_masked_nll(
+                destination_logits, batch.destinations
             )
-            sd_nll = source_nll + destination_nll
         else:
             sd_nll = Tensor(np.zeros(batch.batch_size))
 

@@ -11,11 +11,14 @@ losses and optimisers required by the paper's models and baselines:
 * Losses: cross entropy (road-constrained variant via
   :func:`masked_log_softmax` + :func:`cross_entropy_from_log_probs`),
   Gaussian KL divergences, sequence NLL.
-* Fused sequence kernels (:mod:`repro.nn.fused`): the one GRU step
+* Fused kernels (:mod:`repro.nn.fused`): the one GRU step
   (:func:`~repro.nn.fused.gru_step`) that training, offline scoring and
   serving share, its single-node BPTT unroll (:func:`gru_sequence`), fused
-  embedding gather, dense and successor-set masked NLL, fused
-  linear/KL/reparameterisation — the training hot path.
+  embedding gather, the full-vocabulary and successor-set decoder losses,
+  fused linear/KL/reparameterisation — the training hot path.  Their
+  forwards are numpy functions that scoring calls too
+  (:func:`gather_log_softmax`, :func:`successor_step_nll`, …), and the
+  layers offer the same arithmetic on raw arrays (``Linear.infer`` etc.).
 * Optimisers: :class:`SGD`, :class:`Adam` (fully in-place updates), plus
   gradient clipping.
 * Checkpoint (de)serialisation helpers.
@@ -33,6 +36,8 @@ from repro.nn.functional import (
 )
 from repro.nn.fused import (
     gru_sequence,
+    gather_log_softmax,
+    successor_step_nll,
     embedding_gather,
     fused_masked_nll,
     fused_successor_nll,
@@ -87,6 +92,8 @@ __all__ = [
     "GRUCell",
     "GRU",
     "gru_sequence",
+    "gather_log_softmax",
+    "successor_step_nll",
     "embedding_gather",
     "fused_masked_nll",
     "fused_successor_nll",

@@ -7,7 +7,9 @@ These are the numerically careful primitives the VAE models need:
 * :func:`masked_log_softmax` implementing the paper's *road-constrained
   prediction* (probability mass restricted to graph neighbours of the current
   road segment),
-* :func:`logsumexp`, :func:`dropout` and small helpers.
+* :func:`logsumexp` (one node whose forward is :func:`logsumexp_forward`,
+  the arithmetic the Seq2Seq inference engine runs on arrays),
+  :func:`dropout` and small helpers.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ __all__ = [
     "log_softmax",
     "masked_log_softmax",
     "logsumexp",
+    "logsumexp_forward",
     "one_hot",
     "dropout",
-    "linear",
     "NEG_INF",
 ]
 
@@ -74,14 +76,24 @@ def masked_log_softmax(logits: Tensor, mask: np.ndarray, axis: int = -1) -> Tens
     return log_softmax(constrained, axis=axis)
 
 
+def logsumexp_forward(x: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """Stable ``log(sum(exp(x)))`` on raw arrays: the forward of :func:`logsumexp`."""
+    shift = x.max(axis=axis, keepdims=True)
+    out = np.log(np.exp(x - shift).sum(axis=axis, keepdims=True)) + shift
+    return out if keepdims else np.squeeze(out, axis=axis)
+
+
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable ``log(sum(exp(x)))`` reduction."""
+    """Stable ``log(sum(exp(x)))`` reduction as one node (backward: ``softmax(x)``)."""
     x = as_tensor(x)
-    shift = Tensor(x.data.max(axis=axis, keepdims=True))
-    out = (x - shift).exp().sum(axis=axis, keepdims=True).log() + shift
-    if not keepdims:
-        out = out.squeeze(axis=axis)
-    return out
+    data = logsumexp_forward(x.data, axis=axis, keepdims=True)
+
+    def backward(grad: np.ndarray):
+        if not keepdims:
+            grad = np.expand_dims(grad, axis)
+        return [(x, grad * np.exp(x.data - data))]
+
+    return x._make(data if keepdims else np.squeeze(data, axis=axis), (x,), backward)
 
 
 def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
@@ -106,11 +118,3 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[RandomState] = No
     rng = get_rng(rng)
     keep = (rng.random(x.shape) >= p).astype(x.data.dtype)
     return x * Tensor(keep / (1.0 - p))
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight + bias`` (weight is stored ``(in, out)``)."""
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out

@@ -1,4 +1,4 @@
-"""Fused sequence-level autograd kernels and the one GRU step.
+"""Fused autograd kernels, and the numpy forwards they share with scoring.
 
 A per-step autograd RNN builds ~15 :class:`Tensor` graph nodes per timestep
 (gate slices, sigmoids, elementwise combines), so one training batch over a
@@ -21,15 +21,17 @@ cuDNN-style fused-RNN strategy, on the numpy substrate:
 * :func:`embedding_gather` — fused take + sort/``reduceat`` scatter-add
   backward, replacing the generic ``index_select`` graph node on embedding
   lookups.
-* :func:`fused_masked_nll` — masked log-softmax + target gather + validity
-  masking in one node, avoiding the ``(batch, time, vocab)`` intermediate
-  graph the decoder loss otherwise materialises five times over.
+* :func:`fused_successor_nll` — the road-constrained decoder loss (paper
+  §V-B) from the decoder states, over each step's successor columns only,
+  so training builds no ``(batch, time, vocab)`` array;
+  :func:`fused_masked_nll` — the full-vocabulary loss.
 
-Every kernel is numerically interchangeable with the composite autograd
-formulation it replaces (gradients agree to ~1e-12).  The per-step reference
-formulations, the dense masked decoder and the dense-mask successor-table
-builder live in the test suite as parity oracles (``tests/reference.py``),
-which pins the two together.
+Each kernel's forward is a numpy function that offline scoring and serving
+call on raw arrays too (:func:`gru_step`, :func:`linear_forward`,
+:func:`gaussian_kl_forward`, :func:`gather_log_softmax`,
+:func:`successor_step_nll`), so training, scoring and serving share one
+arithmetic.  The composite formulations the kernels replace live in
+``tests/reference.py`` as parity oracles; gradients agree to ~1e-12.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ __all__ = [
     "gru_step",
     "gru_unroll",
     "gru_sequence",
+    "linear_forward",
+    "gaussian_kl_forward",
+    "gather_log_softmax",
+    "successor_step_nll",
     "embedding_gather",
     "fused_masked_nll",
     "fused_successor_nll",
@@ -333,6 +339,140 @@ def gru_sequence(
 
 
 # --------------------------------------------------------------------------- #
+# numpy forwards, shared with offline scoring and serving
+# --------------------------------------------------------------------------- #
+def linear_forward(
+    x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``x @ weight + bias`` on raw arrays, ``weight`` stored ``(in, out)``.
+
+    The forward of :func:`fused_linear` and of :meth:`Linear.infer
+    <repro.nn.Linear.infer>`, which the inference engine calls.
+    """
+    out = x @ weight
+    if bias is not None:
+        out += bias
+    return out
+
+
+def gaussian_kl_forward(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """``KL(N(mu, diag(exp(logvar))) || N(0, I))`` per row, on raw arrays.
+
+    The forward of :func:`fused_gaussian_kl`; the inference engine's KL term.
+    """
+    return (np.exp(logvar) + mu * mu - 1.0 - logvar).sum(axis=-1) * 0.5
+
+
+def _softmax_forward(
+    logits: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gather_log_softmax` plus what :func:`fused_masked_nll` differentiates.
+
+    Returns ``(log_probs, exp_shifted, sums)``: the gathered
+    log-probabilities, the max-shifted exponentials ``(batch, vocab)`` and
+    their row sums ``(batch,)``.
+    """
+    maxima = logits.max(axis=-1)
+    exp_shifted = logits - maxima[:, None]
+    np.exp(exp_shifted, out=exp_shifted)
+    sums = exp_shifted.sum(axis=-1)
+    return (logits[rows, cols] - maxima) - np.log(sums), exp_shifted, sums
+
+
+def gather_log_softmax(logits: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``log_softmax(logits)[rows, cols]`` without materialising the matrix.
+
+    Same arithmetic as :func:`repro.nn.log_softmax` (max-shift, exp-sum, log)
+    but only the gathered entries are computed, saving two full-width
+    ``(batch, vocab)`` array writes.  The forward of :func:`fused_masked_nll`;
+    the inference engine, its SD half and the serving kernel score every
+    full-vocabulary softmax with it.
+    """
+    return _softmax_forward(logits, rows, cols)[0]
+
+
+def _successor_forward(
+    hidden: np.ndarray,
+    weight_t: np.ndarray,
+    bias: np.ndarray,
+    cand_idx: np.ndarray,
+    cand_valid: np.ndarray,
+    targets: np.ndarray,
+    target_allowed: np.ndarray,
+    cand_weights: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`successor_step_nll` plus what :func:`fused_successor_nll` differentiates.
+
+    Returns ``(nll, cand_weights, exp_shifted, sum_exp)``: the step NLL, the
+    gathered weight rows ``(..., max_degree, H)``, the shifted candidate
+    exponentials ``(..., max_degree)`` (exact zeros in padded slots) and their
+    sums ``(..., 1)``.
+    """
+    if cand_weights is None:
+        cand_weights = weight_t[cand_idx]
+    else:
+        # mode="clip" selects the fast unbuffered take; successor-table
+        # entries are in [0, vocab) by construction so it cannot clip.
+        np.take(weight_t, cand_idx, axis=0, out=cand_weights, mode="clip")
+    cand = (cand_weights @ hidden[..., None])[..., 0]
+    cand += bias[cand_idx]
+    picked = (weight_t[targets] * hidden).sum(axis=-1)
+    picked += bias[targets]
+
+    has_successor = cand_valid.any(axis=-1)
+    shift = np.max(cand, axis=-1, keepdims=True, where=cand_valid, initial=NEG_INF)
+    # minimum(·, 0) is a no-op on well-formed rows (the max is subtracted) and
+    # stops exp overflow on dead-end rows with no successors, which callers
+    # either reject or mask out.
+    exp_shifted = np.exp(np.minimum(cand - shift, 0.0))
+    exp_shifted *= cand_valid
+    sum_exp = exp_shifted.sum(axis=-1, keepdims=True)
+    if not has_successor.all():
+        sum_exp = np.where(has_successor[..., None], sum_exp, 1.0)
+    log_z = np.log(sum_exp)
+    # A disallowed target (an anomalous transition) gets the NEG_INF logit of
+    # the dense masked softmax.
+    picked = np.where(target_allowed, picked, NEG_INF)[..., None]
+    nll = (log_z - (picked - shift))[..., 0]
+    return nll, cand_weights, exp_shifted, sum_exp
+
+
+def successor_step_nll(
+    hidden: np.ndarray,
+    weight_t: np.ndarray,
+    bias: np.ndarray,
+    cand_idx: np.ndarray,
+    cand_valid: np.ndarray,
+    targets: np.ndarray,
+    target_allowed: np.ndarray,
+    cand_weights: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Road-constrained step NLL straight from decoder hidden states.
+
+    The decoder softmax of paper §V-B, over the current segment's road
+    successors only: ``hidden`` ``(..., H)`` meets just the output-projection
+    columns of each position's successors, so the ``(..., vocab)`` logits
+    never exist.  ``weight_t`` is the transposed projection weight ``(vocab,
+    H)``, ``bias`` its ``(vocab,)`` bias, ``cand_idx`` / ``cand_valid`` /
+    ``target_allowed`` come from :meth:`CompiledRoadGraph.step_candidates
+    <repro.roadnet.csr.CompiledRoadGraph.step_candidates>` and ``targets``
+    are the entered segments.  The offline engine passes ``(batch, time)``
+    rows, the serving kernel ``(rides,)``; :func:`fused_successor_nll` is
+    this forward with a backward.
+
+    ``cand_weights`` is an optional ``(..., max_degree, H)`` buffer for the
+    gathered weight rows; the offline engine passes a workspace view and a
+    C-contiguous ``weight_t``.  Without a buffer the rows are gathered by
+    fancy indexing, which reads a transposed view such as ``weight.T`` in
+    place, where ``np.take`` would first copy the whole matrix on every call.
+    Both gathers give the same array.
+    """
+    return _successor_forward(
+        hidden, weight_t, bias, cand_idx, cand_valid, targets, target_allowed, cand_weights
+    )[0]
+
+
+# --------------------------------------------------------------------------- #
 # fused VAE primitives
 # --------------------------------------------------------------------------- #
 def fused_gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
@@ -347,17 +487,17 @@ def fused_gaussian_kl(mu: Tensor, logvar: Tensor) -> Tensor:
     -------
     Tensor of shape ``(...,)`` — the per-row KL divergence.
 
-    One node for ``0.5 * Σ (exp(logvar) + mu² - 1 - logvar)`` instead of the
-    six-node elementwise chain; the closed-form backward is
-    ``dmu = g·mu`` and ``dlogvar = 0.5·g·(exp(logvar) - 1)``.
+    One node for ``0.5 * Σ (exp(logvar) + mu² - 1 - logvar)``
+    (:func:`gaussian_kl_forward`) instead of the six-node elementwise chain;
+    the closed-form backward is ``dmu = g·mu`` and
+    ``dlogvar = 0.5·g·(exp(logvar) - 1)``.
     """
     mu, logvar = as_tensor(mu), as_tensor(logvar)
-    e = np.exp(logvar.data)
-    kl = (e + mu.data * mu.data - 1.0 - logvar.data).sum(axis=-1) * 0.5
+    kl = gaussian_kl_forward(mu.data, logvar.data)
 
     def backward(grad: np.ndarray):
         g = grad[..., None]
-        return [(mu, g * mu.data), (logvar, 0.5 * g * (e - 1.0))]
+        return [(mu, g * mu.data), (logvar, 0.5 * g * (np.exp(logvar.data) - 1.0))]
 
     return _node(kl, (mu, logvar), backward)
 
@@ -396,14 +536,13 @@ def fused_reparameterize(mu: Tensor, logvar: Tensor, eps: np.ndarray) -> Tensor:
 def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` as one node (weight stored ``(in, out)``).
 
-    Halves the graph nodes and intermediate ``(.., out)`` arrays of the
-    two-node ``@`` + ``+`` formulation; the backward folds any leading batch
-    axes into a single flat GEMM per operand.
+    The forward is :func:`linear_forward`.  Halves the graph nodes and
+    intermediate ``(.., out)`` arrays of the two-node ``@`` + ``+``
+    formulation; the backward folds any leading batch axes into a single flat
+    GEMM per operand.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    data = x.data @ weight.data
-    if bias is not None:
-        data += bias.data
+    data = linear_forward(x.data, weight.data, None if bias is None else bias.data)
 
     def backward(grad: np.ndarray):
         grad_2d = grad.reshape(-1, grad.shape[-1])
@@ -423,6 +562,19 @@ def fused_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Te
 # --------------------------------------------------------------------------- #
 # embedding gather
 # --------------------------------------------------------------------------- #
+def _group_rows(indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort ``indices`` and find the runs: ``(order, unique_ids, run_starts)``.
+
+    ``np.add.reduceat(values[order], run_starts)`` then sums the values of
+    each distinct index — the scatter-add of the gather backwards below,
+    without the per-element dispatch of ``np.add.at``.
+    """
+    order = np.argsort(indices, kind="stable")
+    sorted_idx = indices[order]
+    starts = np.concatenate(([0], np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1))
+    return order, sorted_idx[starts], starts
+
+
 def embedding_gather(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Embedding lookup ``out[i...] = weight[indices[i...]]`` as one node.
 
@@ -440,33 +592,30 @@ def embedding_gather(weight: Tensor, indices: np.ndarray) -> Tensor:
         flat_idx = idx.reshape(-1)
         if flat_idx.size:
             grad_rows = np.ascontiguousarray(grad).reshape(-1, weight.data.shape[-1])
-            order = np.argsort(flat_idx, kind="stable")
-            sorted_idx = flat_idx[order]
-            starts = np.concatenate(
-                ([0], np.flatnonzero(sorted_idx[1:] != sorted_idx[:-1]) + 1)
-            )
-            sums = np.add.reduceat(grad_rows[order], starts, axis=0)
-            full[sorted_idx[starts]] = sums
+            order, ids, starts = _group_rows(flat_idx)
+            full[ids] = np.add.reduceat(grad_rows[order], starts, axis=0)
         return [(weight, full)]
 
     return _node(data, (weight,), backward)
 
 
 # --------------------------------------------------------------------------- #
-# fused masked NLL
+# fused decoder losses
 # --------------------------------------------------------------------------- #
 def fused_masked_nll(
     logits: Tensor,
     targets: np.ndarray,
-    allowed_mask: Optional[np.ndarray] = None,
     valid_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Per-position NLL of ``targets`` under (masked-)softmax ``logits``.
+    """Per-position NLL of ``targets`` under ``softmax(logits)``, as one node.
 
-    Equivalent to ``sequence_nll(masked_log_softmax(logits, allowed_mask),
-    targets, mask=valid_mask, reduction="none")`` but as a single graph node:
-    the ``(.., vocab)`` log-probability tensor never enters the autograd graph
-    and the backward is the closed form ``grad * (softmax - onehot)``.
+    Equivalent to ``sequence_nll(log_softmax(logits), targets,
+    mask=valid_mask, reduction="none")``, but the ``(.., vocab)``
+    log-probability tensor never enters the autograd graph.  The forward is
+    :func:`gather_log_softmax`, the full-vocabulary step of offline scoring
+    and serving; the backward is the closed form ``grad * (softmax -
+    onehot)``.  The road-constrained decoder loss is
+    :func:`fused_successor_nll`.
 
     Parameters
     ----------
@@ -474,10 +623,6 @@ def fused_masked_nll(
         ``(..., V)`` unnormalised scores.
     targets:
         Integer array of shape ``(...)``.
-    allowed_mask:
-        Optional boolean array broadcastable to ``logits``; False positions
-        are excluded from the softmax (road-constrained prediction) and
-        receive zero gradient.
     valid_mask:
         Optional boolean array of shape ``(...)``; False positions (padding)
         contribute zero loss and zero gradient.
@@ -489,125 +634,77 @@ def fused_masked_nll(
     """
     logits = as_tensor(logits)
     idx = np.asarray(targets, dtype=np.int64)
-    picked_logit = np.take_along_axis(logits.data, idx[..., None], axis=-1)
-    if allowed_mask is not None:
-        allowed = np.broadcast_to(np.asarray(allowed_mask, dtype=bool), logits.shape)
-        if not allowed.any(axis=-1).all():
-            raise ValueError("fused_masked_nll requires at least one allowed position per row")
-        # Equivalent to masking logits to NEG_INF then softmaxing, but the
-        # masked entries never enter an `exp` (whose deep-underflow path is an
-        # order of magnitude slower) and the constrained (.., V) copy of the
-        # logits is never materialised: `where=`-gated reductions see only
-        # allowed entries, everything else contributes an exact 0 — the same
-        # value exp(NEG_INF - shift) underflows to on the graph path.
-        shift = np.max(logits.data, axis=-1, keepdims=True, where=allowed, initial=NEG_INF)
-        # The shifted array doubles as the exp buffer (exp in place): only the
-        # exponentials are needed downstream, and masked entries are zeroed
-        # rather than exponentiated — the deep-underflow exp path of
-        # exp(NEG_INF - shift) is an order of magnitude slower than the
-        # multiply and produces the same exact 0.
-        exp_shifted = logits.data - shift
-        # Allowed entries are <= 0 after the shift; the clamp only guards
-        # masked entries that exceed the allowed maximum from overflowing
-        # (they are zeroed right after regardless).
-        np.minimum(exp_shifted, 700.0, out=exp_shifted)
-        np.exp(exp_shifted, out=exp_shifted)
-        exp_shifted *= allowed
-        target_allowed = np.take_along_axis(allowed, idx[..., None], axis=-1)
-        picked_logit = np.where(target_allowed, picked_logit, NEG_INF)
-    else:
-        allowed = None
-        target_allowed = None
-        shift = logits.data.max(axis=-1, keepdims=True)
-        exp_shifted = logits.data - shift
-        np.exp(exp_shifted, out=exp_shifted)
-    sum_exp = exp_shifted.sum(axis=-1, keepdims=True)
-    log_z = np.log(sum_exp)
-    # Only the target column of the full log-prob array is ever needed:
-    # nll = -((logit[target] - shift) - log Z).  The (.., V) log-prob tensor
-    # is never materialised; backward reuses exp_shifted for the softmax.
-    nll = (log_z - (picked_logit - shift))[..., 0]
+    cols = idx.reshape(-1)
+    rows = np.arange(cols.size)
+    log_probs, exp_shifted, sums = _softmax_forward(
+        logits.data.reshape(-1, logits.shape[-1]), rows, cols
+    )
+    nll = -log_probs.reshape(idx.shape)
     valid = None
     if valid_mask is not None:
         valid = np.asarray(valid_mask, dtype=np.float64)
         nll = nll * valid
 
     def backward(grad: np.ndarray):
-        upstream = grad * valid if valid is not None else grad
-        # dlogits = upstream * (softmax - onehot), softmax = exp_shifted / Z.
-        # Masked entries are exact zeros in exp_shifted, so their gradient is
-        # zero without another (.., V) masking pass.  The multiply goes into a
-        # fresh array — mutating the stashed exp buffer would silently corrupt
-        # a repeated backward() through the same graph.
-        dlogits = exp_shifted * (upstream[..., None] / sum_exp)
-        at_target = np.take_along_axis(dlogits, idx[..., None], axis=-1)
-        target_grad = upstream[..., None]
-        if target_allowed is not None:
-            # A disallowed target (anomalous transition) gets no gradient,
-            # matching the graph path's masked_fill zeroing.
-            target_grad = target_grad * target_allowed
-        np.put_along_axis(dlogits, idx[..., None], at_target - target_grad, axis=-1)
-        return [(logits, dlogits)]
+        upstream = (grad * valid if valid is not None else grad).reshape(-1)
+        # dlogits = upstream * (softmax - onehot), softmax = exp_shifted / sums.
+        # The multiply goes into a fresh array — mutating the stashed exp
+        # buffer would silently corrupt a repeated backward() through the
+        # same graph.
+        dlogits = exp_shifted * (upstream / sums)[:, None]
+        dlogits[rows, cols] -= upstream
+        return [(logits, dlogits.reshape(logits.shape))]
 
     return _node(nll, (logits,), backward)
 
 
 def fused_successor_nll(
-    logits: Tensor,
+    hidden: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    cand_idx: np.ndarray,
+    cand_valid: np.ndarray,
     targets: np.ndarray,
-    succ_idx: np.ndarray,
-    succ_valid: np.ndarray,
     target_allowed: np.ndarray,
     valid_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Road-constrained NLL over the successor set only — O(B·T·degree).
+    """Road-constrained decoder NLL from the decoder states, as one node.
 
-    Numerically interchangeable with :func:`fused_masked_nll` when the allowed
-    mask is exactly the successor set of each row (the road-constrained
-    decoder): the masked softmax normalises over the handful of graph
-    successors, so the max/exp/sum run on ``(.., max_degree)`` gathers instead
-    of the full ``(.., V)`` vocabulary — on real road networks a 30-80× cut in
-    loss-side work.  Rows whose ``valid_mask`` is False (padding) may carry
-    arbitrary successor rows; their loss and gradient are exactly zero.
+    The forward is :func:`successor_step_nll`, the step offline scoring and
+    serving run: each state is contracted against only its position's
+    successor columns of the output projection and normalised over them, so
+    neither pass builds ``(..., V)`` logits.  The backward scatters into
+    those columns only (sort + ``reduceat``, as :func:`embedding_gather`
+    does).  Numerically interchangeable with ``masked_log_softmax(hidden @
+    weight + bias, successor mask)`` + ``sequence_nll`` (the dense reference
+    of ``tests/reference.py``).  Rows whose ``valid_mask`` is False (padding)
+    may carry arbitrary successor rows; their loss and gradient are exactly
+    zero.
 
     Parameters
     ----------
-    logits:
-        ``(..., V)`` unnormalised scores.
-    targets:
-        Integer array of shape ``(...)``.
-    succ_idx / succ_valid:
-        Row-wise gather tables of shape ``(..., max_degree)``, gathered from
-        :meth:`CompiledRoadGraph.successor_tables
-        <repro.roadnet.csr.CompiledRoadGraph.successor_tables>`.
-    target_allowed:
-        Boolean ``(...)`` — whether the target is a successor of the input
-        (False for anomalous transitions, which receive the NEG_INF
-        log-probability of the dense path and no gradient).
+    hidden:
+        ``(..., H)`` decoder states.
+    weight / bias:
+        The output projection, ``(H, V)`` and ``(V,)``.
+    cand_idx / cand_valid:
+        The successor tables gathered at each position's current segment,
+        ``(..., max_degree)``; see :meth:`CompiledRoadGraph.step_candidates
+        <repro.roadnet.csr.CompiledRoadGraph.step_candidates>`, which also
+        rejects a valid position on a segment with no successor.
+    targets / target_allowed:
+        The entered segment ``(...)`` and whether it is a successor (False
+        for anomalous transitions, which receive the NEG_INF log-probability
+        of the dense path and no target gradient).
     valid_mask:
         Optional boolean ``(...)`` padding mask.
     """
-    logits = as_tensor(logits)
+    hidden, weight, bias = as_tensor(hidden), as_tensor(weight), as_tensor(bias)
     idx = np.asarray(targets, dtype=np.int64)
-    vocab = logits.shape[-1]
-    has_successor = succ_valid.any(axis=-1)
-    degenerate = ~has_successor
-    if degenerate.any() if valid_mask is None else (degenerate & np.asarray(valid_mask, dtype=bool)).any():
-        raise ValueError("fused_successor_nll requires at least one allowed position per row")
-    cand = np.take_along_axis(logits.data, succ_idx, axis=-1)
-    shift = np.max(cand, axis=-1, keepdims=True, where=succ_valid, initial=NEG_INF)
-    # minimum(·, 0) is a no-op on well-formed rows (the max is subtracted) and
-    # stops exp overflow on degenerate padding rows with no successors, whose
-    # loss and gradient are zeroed anyway.
-    exp_shifted = np.exp(np.minimum(cand - shift, 0.0))
-    exp_shifted *= succ_valid
-    sum_exp = exp_shifted.sum(axis=-1, keepdims=True)
-    if degenerate.any():
-        sum_exp = np.where(has_successor[..., None], sum_exp, 1.0)
-    log_z = np.log(sum_exp)
-    picked = np.take_along_axis(logits.data, idx[..., None], axis=-1)
-    picked = np.where(target_allowed[..., None], picked, NEG_INF)
-    nll = (log_z - (picked - shift))[..., 0]
+    weight_t = weight.data.T
+    nll, cand_weights, exp_shifted, sum_exp = _successor_forward(
+        hidden.data, weight_t, bias.data, cand_idx, cand_valid, idx, target_allowed
+    )
     valid = None
     if valid_mask is not None:
         valid = np.asarray(valid_mask, dtype=np.float64)
@@ -615,18 +712,28 @@ def fused_successor_nll(
 
     def backward(grad: np.ndarray):
         upstream = grad * valid if valid is not None else grad
+        # d nll / d candidate logit = softmax over the successors; d nll / d
+        # target logit = -1 where the target is a successor.
         dcand = exp_shifted * (upstream[..., None] / sum_exp)
-        # Scatter-add the successor-column gradients into the vocabulary axis.
-        # bincount accumulates duplicates exactly (padded slots carry weight
-        # 0), unlike put_along_axis whose duplicate handling is undefined.
-        rows = np.arange(dcand.size // dcand.shape[-1], dtype=np.int64)
-        flat_pos = rows[:, None] * vocab + succ_idx.reshape(len(rows), -1)
-        dlogits = np.bincount(
-            flat_pos.ravel(), weights=dcand.ravel(), minlength=len(rows) * vocab
-        ).reshape(logits.shape)
-        at_target = np.take_along_axis(dlogits, idx[..., None], axis=-1)
-        target_grad = upstream[..., None] * target_allowed[..., None]
-        np.put_along_axis(dlogits, idx[..., None], at_target - target_grad, axis=-1)
-        return [(logits, dlogits)]
+        dpicked = upstream * -np.asarray(target_allowed, dtype=np.float64)
+        dhidden = (dcand[..., None, :] @ cand_weights)[..., 0, :]
+        dhidden += dpicked[..., None] * weight_t[idx]
+        # Weight and bias rows: every gathered column receives its
+        # coefficient (times the position's state), summed per column.
+        vocab, width = weight_t.shape
+        columns = np.concatenate((cand_idx.reshape(-1), idx.reshape(-1)))
+        coeffs = np.concatenate((dcand.reshape(-1), dpicked.reshape(-1)))
+        dweight_t = np.zeros((vocab, width))
+        dbias = np.zeros(vocab)
+        if columns.size:
+            states = hidden.data.reshape(-1, width)
+            positions = np.arange(states.shape[0])
+            positions = np.concatenate((np.repeat(positions, cand_idx.shape[-1]), positions))
+            order, ids, starts = _group_rows(columns)
+            rows = states[positions[order]]
+            rows *= coeffs[order, None]
+            dweight_t[ids] = np.add.reduceat(rows, starts, axis=0)
+            dbias[ids] = np.add.reduceat(coeffs[order], starts)
+        return [(hidden, dhidden), (weight, dweight_t.T), (bias, dbias)]
 
-    return _node(nll, (logits,), backward)
+    return _node(nll, (hidden, weight, bias), backward)

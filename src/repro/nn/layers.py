@@ -7,6 +7,10 @@ These cover every non-recurrent component of the paper's architecture:
 * ``Linear`` + ``MLP`` — the SD encoder ``Φ_e``, SD decoder ``Φ_c`` and the
   RP-VAE encoder/decoder ``Ψ_e`` / ``Ψ_d`` are all small MLPs.
 * ``GaussianHead`` — produces ``(μ, log σ²)`` for the variational posteriors.
+
+Their ``infer`` methods are the eval-mode forward on raw arrays, with the
+arithmetic of the Tensor kernels and no Tensor; the inference engine calls
+them.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import numpy as np
 
 from repro.nn import init as nn_init
 from repro.nn.functional import dropout as dropout_fn
-from repro.nn.fused import embedding_gather, fused_linear, fused_reparameterize
+from repro.nn.fused import embedding_gather, fused_linear, fused_reparameterize, linear_forward
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, as_tensor, concatenate
+from repro.nn.tensor import Tensor, as_tensor, concatenate, sigmoid_forward
 from repro.utils.rng import RandomState, get_rng
 
 __all__ = [
@@ -54,6 +58,10 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         # One fused node (matmul + bias) instead of two; same arithmetic.
         return fused_linear(as_tensor(x), self.weight, self.bias)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on raw arrays (no Tensor, no graph)."""
+        return linear_forward(x, self.weight.data, None if self.bias is None else self.bias.data)
 
 
 class Embedding(Module):
@@ -96,15 +104,20 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         return dropout_fn(x, self.p, training=self.training, rng=self._rng)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval mode: the identity."""
+        return x
+
 
 class Activation(Module):
     """Named activation wrapper so activations can live inside Sequential."""
 
+    #: name -> (the Tensor op, the same arithmetic on raw arrays).
     _FUNCS: dict = {
-        "tanh": lambda x: x.tanh(),
-        "relu": lambda x: x.relu(),
-        "sigmoid": lambda x: x.sigmoid(),
-        "identity": lambda x: x,
+        "tanh": (Tensor.tanh, np.tanh),
+        "relu": (Tensor.relu, lambda x: np.maximum(x, 0.0)),
+        "sigmoid": (Tensor.sigmoid, sigmoid_forward),
+        "identity": (lambda x: x, lambda x: x),
     }
 
     def __init__(self, name: str = "tanh") -> None:
@@ -114,7 +127,11 @@ class Activation(Module):
         self.name = name
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._FUNCS[self.name](x)
+        return self._FUNCS[self.name][0](x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on raw arrays."""
+        return self._FUNCS[self.name][1](x)
 
 
 class Sequential(Module):
@@ -130,6 +147,12 @@ class Sequential(Module):
     def forward(self, x):
         for layer in self._layers:
             x = layer(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on raw arrays: each child's ``infer`` in order."""
+        for layer in self._layers:
+            x = layer.infer(x)
         return x
 
     def __iter__(self):
@@ -181,6 +204,10 @@ class MLP(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on raw arrays (dropout inactive)."""
+        return self.net.infer(x)
+
 
 class GaussianHead(Module):
     """Produces the mean and log-variance of a diagonal Gaussian posterior.
@@ -203,6 +230,12 @@ class GaussianHead(Module):
     def forward(self, h: Tensor) -> Tuple[Tensor, Tensor]:
         mu = self.mu(h)
         logvar = self.logvar(h).clip(self.LOGVAR_MIN, self.LOGVAR_MAX)
+        return mu, logvar
+
+    def infer(self, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Eval-mode ``(μ, log σ²)`` on raw arrays."""
+        mu = self.mu.infer(h)
+        logvar = np.clip(self.logvar.infer(h), self.LOGVAR_MIN, self.LOGVAR_MAX)
         return mu, logvar
 
     def sample(

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "sigmoid_forward"]
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, Sequence]
 
@@ -79,6 +79,18 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def sigmoid_forward(x: np.ndarray) -> np.ndarray:
+    """Numerically stable sigmoid on raw arrays: the forward of :meth:`Tensor.sigmoid`.
+
+    ``1 / (1 + exp(-c))`` for ``x >= 0``, else ``exp(c) / (1 + exp(c))``,
+    with ``c = clip(x, -60, 60)``; both branches share ``exp(-|c|)``.
+    """
+    c = np.clip(x, -60, 60)
+    e = np.exp(np.minimum(c, -c))
+    denom = e + 1.0
+    return np.where(x >= 0, 1.0 / denom, e / denom)
 
 
 class Tensor:
@@ -392,11 +404,7 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60))),
-            np.exp(np.clip(self.data, -60, 60)) / (1.0 + np.exp(np.clip(self.data, -60, 60))),
-        )
+        data = sigmoid_forward(self.data)
 
         def backward(grad: np.ndarray):
             return [(self, grad * data * (1.0 - data))]

@@ -341,24 +341,37 @@ class CompiledRoadGraph:
             )
         return self._succ_tables
 
-    def successors_contain(self, segments: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Elementwise membership test ``candidates[i] ∈ successors(segments[i])``.
+    def step_candidates(
+        self,
+        current: np.ndarray,
+        following: np.ndarray,
+        valid: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The successor candidates of each step ``current -> following``.
 
-        Parameters
-        ----------
-        segments / candidates:
-            Integer arrays of broadcast-compatible shapes (e.g. both ``(N,)``,
-            or ``segments`` ``(N,)`` against ``candidates`` ``(N,)``).
-
-        Returns
-        -------
-        Boolean array of the broadcast shape; True where the candidate is a
-        valid road-graph transition from the corresponding segment.
+        Returns ``(cand_idx, cand_valid, allowed)``: :meth:`successor_tables`
+        gathered at ``current`` (shape ``current.shape + (max_degree,)``) and
+        whether each ``following`` is among them.  The road-constrained decoder
+        normalises over these candidates in training, offline scoring and
+        serving alike, so this is where all three reject a step off a
+        dead-end segment: ``ValueError`` names the first such segment among
+        the steps that count (``valid``, default all).
         """
-        idx, valid = self.successor_tables()
-        segments = np.asarray(segments, dtype=np.int64)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        return ((idx[segments] == candidates[..., None]) & valid[segments]).any(axis=-1)
+        idx, ok = self.successor_tables()
+        current = np.asarray(current, dtype=np.int64)
+        cand_idx, cand_valid = idx[current], ok[current]
+        dead = ~cand_valid.any(axis=-1)
+        if valid is not None:
+            dead &= np.asarray(valid, dtype=bool)
+        if dead.any():
+            segment = int(current[dead][0])
+            raise ValueError(
+                f"segment {segment} has no successor: the road-constrained "
+                "decoder cannot step off it"
+            )
+        following = np.asarray(following, dtype=np.int64)
+        allowed = ((cand_idx == following[..., None]) & cand_valid).any(axis=-1)
+        return cand_idx, cand_valid, allowed
 
     def transition_mask(self) -> np.ndarray:
         """Dense boolean ``(V, V)`` successor matrix (cached).

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import CausalTADConfig, RPVAE, TGVAE
 from repro.nn import NEG_INF
+from repro.roadnet import generate_grid_city
 from repro.trajectory.dataset import encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
@@ -117,6 +118,47 @@ class TestTGVAE:
         )
         scores = -output.step_log_probs
         assert (scores[small_batch.mask] >= 0).all()
+
+    def test_road_constrained_loss_builds_no_vocabulary_logits(self, monkeypatch):
+        """Forward and backward of the constrained loss never project the
+        decoder states onto all V segments: no ``fused_linear`` output is
+        ``(batch, time, V)``, and the traced peak stays below what the dense
+        ``(batch, time, V)`` logits alone would take."""
+        import tracemalloc
+
+        from repro.nn import layers
+
+        network = generate_grid_city(16, 16)
+        graph = network.compiled()
+        succ_idx, succ_valid = graph.successor_tables()
+        rng = np.random.default_rng(0)
+        walks = []
+        for ride in range(16):
+            segments = [int(rng.integers(network.num_segments))]
+            while len(segments) < 40:
+                segments.append(int(rng.choice(succ_idx[segments[-1]][succ_valid[segments[-1]]])))
+            walks.append(MapMatchedTrajectory(trajectory_id=f"w{ride}", segments=segments))
+        batch = encode_batch(walks, network.num_segments)
+        model = TGVAE(CausalTADConfig.tiny(network.num_segments), rng=RandomState(0))
+        dense_bytes = batch.inputs.size * network.num_segments * 8
+
+        shapes = []
+        fused_linear = layers.fused_linear
+
+        def spy(x, weight, bias=None):
+            out = fused_linear(x, weight, bias)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(layers, "fused_linear", spy)
+        tracemalloc.start()
+        try:
+            model(batch, graph).loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.inputs.shape + (network.num_segments,) not in shapes
+        assert peak < dense_bytes, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 class TestRPVAE:

@@ -22,11 +22,13 @@ from repro.nn import (
     fused_reparameterize,
     fused_successor_nll,
     gru_sequence,
+    log_softmax,
     masked_log_softmax,
     no_grad,
     sequence_nll,
 )
 from repro.nn.layers import Embedding
+from repro.roadnet import RoadNetwork
 from repro.utils.rng import RandomState
 from tests import reference
 
@@ -146,135 +148,155 @@ class TestEmbeddingGatherParity:
 
 
 # --------------------------------------------------------------------------- #
-# fused NLL (dense masked + sparse successor)
+# fused NLL (full-vocabulary + sparse successor)
 # --------------------------------------------------------------------------- #
-def _graph_nll(logits, targets, allowed, valid):
-    log_probs = (
-        masked_log_softmax(logits, allowed, axis=-1)
-        if allowed is not None
-        else __import__("repro.nn.functional", fromlist=["log_softmax"]).log_softmax(logits, axis=-1)
-    )
-    return sequence_nll(log_probs, targets, mask=valid, reduction="none")
-
-
 class TestFusedMaskedNLLParity:
-    @pytest.mark.parametrize("with_allowed", [False, True])
+    @pytest.mark.parametrize("flat_logits", [False, True])
     @pytest.mark.parametrize("with_valid", [False, True])
-    def test_matches_graph_path(self, with_allowed, with_valid):
+    def test_matches_graph_path(self, flat_logits, with_valid):
+        """``(batch, time, V)`` logits as the unconstrained decoders pass them,
+        ``(N, V)`` as RP-VAE does."""
         rng = np.random.default_rng(11)
         batch, time, vocab = 4, 6, 13
         logits_data = rng.normal(size=(batch, time, vocab)) * 3
         targets = rng.integers(0, vocab, size=(batch, time))
-        allowed = None
-        if with_allowed:
-            allowed = rng.random((batch, time, vocab)) > 0.6
-            allowed[..., 0] = True
         valid = (rng.random((batch, time)) > 0.3) if with_valid else None
         mult = rng.normal(size=(batch, time))
+        if flat_logits:
+            logits_data = logits_data.reshape(-1, vocab)
+            targets, mult = targets.reshape(-1), mult.reshape(-1)
+            valid = None if valid is None else valid.reshape(-1)
 
         ref_logits = Tensor(logits_data, requires_grad=True)
-        ref = _graph_nll(ref_logits, targets, allowed, valid)
+        ref = sequence_nll(log_softmax(ref_logits, axis=-1), targets, mask=valid, reduction="none")
         (ref * Tensor(mult)).sum().backward()
 
         got_logits = Tensor(logits_data, requires_grad=True)
-        got = fused_masked_nll(got_logits, targets, allowed_mask=allowed, valid_mask=valid)
+        got = fused_masked_nll(got_logits, targets, valid_mask=valid)
         (got * Tensor(mult)).sum().backward()
 
         assert_close(got.data, ref.data, "nll forward")
         assert_close(got_logits.grad, ref_logits.grad, "dlogits")
 
-    def test_rejects_fully_masked_row(self):
-        logits = Tensor(np.zeros((2, 3)))
-        allowed = np.ones((2, 3), dtype=bool)
-        allowed[1] = False
-        with pytest.raises(ValueError):
-            fused_masked_nll(logits, np.zeros(2, dtype=int), allowed_mask=allowed)
+
+def _successor_nll(fused, hidden_data, weight_data, bias_data, transition, inputs, targets, valid, mult):
+    """Forward and gradients of the successor NLL, fused or the dense reference.
+
+    The reference is the composite dense decoder: ``hidden @ weight + bias``
+    through ``masked_log_softmax`` over each input's successors, then
+    ``sequence_nll``.
+    """
+    hidden = Tensor(hidden_data, requires_grad=True)
+    weight = Tensor(weight_data, requires_grad=True)
+    bias = Tensor(bias_data, requires_grad=True)
+    if fused:
+        succ_idx, succ_valid = reference.build_successor_table(transition)
+        nll = fused_successor_nll(
+            hidden,
+            weight,
+            bias,
+            succ_idx[inputs],
+            succ_valid[inputs],
+            targets,
+            transition[inputs, targets],
+            valid_mask=valid,
+        )
+    else:
+        log_probs = masked_log_softmax(hidden @ weight + bias, transition[inputs], axis=-1)
+        nll = sequence_nll(log_probs, targets, mask=valid, reduction="none")
+    (nll * Tensor(mult)).sum().backward()
+    return nll.data, hidden.grad, weight.grad, bias.grad
 
 
 class TestFusedSuccessorNLLParity:
     def test_matches_dense_masked_path(self):
         rng = np.random.default_rng(13)
-        vocab = 19
+        vocab, hidden_dim = 19, 5
         transition = rng.random((vocab, vocab)) > 0.7
-        transition[:, 0] = True  # every segment has at least one successor
-        succ_idx, succ_valid = reference.build_successor_table(transition)
+        # Every segment has a successor, and column 0 is a candidate of every row.
+        transition[:, 0] = True
 
         batch, time = 5, 7
         inputs = rng.integers(0, vocab, size=(batch, time))
-        targets = rng.integers(0, vocab, size=(batch, time))
-        valid = rng.random((batch, time)) > 0.3
-        valid[0] = False  # zero-length row
-        logits_data = rng.normal(size=(batch, time, vocab)) * 2
-        mult = rng.normal(size=(batch, time))
-
-        dense_logits = Tensor(logits_data, requires_grad=True)
-        dense = fused_masked_nll(
-            dense_logits, targets, allowed_mask=transition[inputs], valid_mask=valid
+        inputs[2] = inputs[1]  # two rows over the same segments share every column
+        lengths = rng.integers(1, time + 1, size=batch)
+        valid = np.arange(time)[None, :] < lengths[:, None]  # padded rows
+        valid[0] = False  # a zero-length row
+        targets = np.array(
+            [[rng.choice(np.flatnonzero(transition[s])) for s in row] for row in inputs]
         )
-        (dense * Tensor(mult)).sum().backward()
-
-        sparse_logits = Tensor(logits_data, requires_grad=True)
-        sparse = fused_successor_nll(
-            sparse_logits,
+        # One valid step enters a segment that is not a successor.
+        bad = (1, 0)
+        valid[bad] = True
+        targets[bad] = np.flatnonzero(~transition[inputs[bad]])[0]
+        args = (
+            rng.normal(size=(batch, time, hidden_dim)),
+            rng.normal(size=(hidden_dim, vocab)),
+            rng.normal(size=vocab),
+            transition,
+            inputs,
             targets,
-            succ_idx[inputs],
-            succ_valid[inputs],
-            transition[inputs, targets],
-            valid_mask=valid,
+            valid,
+            rng.normal(size=(batch, time)),
         )
-        (sparse * Tensor(mult)).sum().backward()
 
-        assert_close(sparse.data, dense.data, "nll forward")
-        assert_close(sparse_logits.grad, dense_logits.grad, "dlogits")
+        got = _successor_nll(True, *args)
+        ref = _successor_nll(False, *args)
+        # A disallowed target scores ~1e9, where float64 resolves 1.2e-7: its
+        # forward is checked in test_disallowed_target_scores_like_dense_path
+        # on exactly representable inputs.
+        allowed = np.ones_like(valid)
+        allowed[bad] = False
+        assert got[0][bad] > 1e8 and ref[0][bad] > 1e8
+        assert_close(got[0][allowed], ref[0][allowed], "nll forward")
+        for label, a, b in zip(("dhidden", "dweight", "dbias"), got[1:], ref[1:]):
+            assert_close(a, b, label)
 
     def test_disallowed_target_scores_like_dense_path(self):
         """An anomalous transition gets the huge NEG_INF-derived NLL and the
         same gradient as the dense masked path (softmax term only — the
         disallowed target itself contributes no onehot gradient)."""
-        vocab = 6
+        vocab, hidden_dim = 6, 3
         transition = np.zeros((vocab, vocab), dtype=bool)
-        transition[:, 1] = True
-        succ_idx, succ_valid = reference.build_successor_table(transition)
+        transition[:, 1:3] = True
         inputs = np.array([[0]])
         targets = np.array([[3]])  # not a successor
-        valid = np.array([[True]])
-
-        sparse_logits = Tensor(np.zeros((1, 1, vocab)), requires_grad=True)
-        nll = fused_successor_nll(
-            sparse_logits,
+        # Zero weights keep every logit exactly 0, so both paths are exact.
+        args = (
+            np.random.default_rng(0).normal(size=(1, 1, hidden_dim)),
+            np.zeros((hidden_dim, vocab)),
+            np.zeros(vocab),
+            transition,
+            inputs,
             targets,
-            succ_idx[inputs],
-            succ_valid[inputs],
-            transition[inputs[0, 0], targets[0, 0]][None, None],
-            valid_mask=valid,
+            np.array([[True]]),
+            np.ones((1, 1)),
         )
-        assert nll.data[0, 0] > 1e8
-        nll.sum().backward()
-
-        dense_logits = Tensor(np.zeros((1, 1, vocab)), requires_grad=True)
-        dense = fused_masked_nll(
-            dense_logits, targets, allowed_mask=transition[inputs], valid_mask=valid
-        )
-        dense.sum().backward()
-
-        assert_close(nll.data, dense.data, "nll forward")
-        assert_close(sparse_logits.grad, dense_logits.grad, "dlogits")
+        got = _successor_nll(True, *args)
+        ref = _successor_nll(False, *args)
+        assert got[0][0, 0] > 1e8
+        for label, a, b in zip(("nll forward", "dhidden", "dweight", "dbias"), got, ref):
+            assert_close(a, b, label)
         # The disallowed target column itself carries no gradient.
-        assert sparse_logits.grad[0, 0, 3] == 0.0
+        assert got[3][3] == 0.0 and not got[2][:, 3].any()
 
     def test_degenerate_valid_row_raises(self):
-        vocab = 4
-        transition = np.zeros((vocab, vocab), dtype=bool)
-        succ_idx, succ_valid = reference.build_successor_table(transition)
-        with pytest.raises(ValueError):
-            fused_successor_nll(
-                Tensor(np.zeros((1, 1, vocab))),
-                np.array([[0]]),
-                succ_idx[np.array([[0]])],
-                succ_valid[np.array([[0]])],
-                np.array([[True]]),
-                valid_mask=np.array([[True]]),
-            )
+        """A valid step off a dead end is rejected, naming the segment, by the
+        check every caller of the kernel runs first; a padded one is not."""
+        network = RoadNetwork(name="spur")
+        for node, (x, y) in enumerate([(0, 0), (100, 0), (200, 0)]):
+            network.add_intersection(node, x, y)
+        network.add_bidirectional_road(0, 1)  # segments 0 and 1
+        network.add_segment(1, 2)  # segment 2: a one-way spur into a dead end
+        graph = network.compiled()
+        current, following = np.array([[0, 2]]), np.array([[2, 1]])
+        with pytest.raises(ValueError, match=r"\bsegment 2\b.*no successor"):
+            graph.step_candidates(current, following, valid=np.array([[True, True]]))
+        _, cand_valid, allowed = graph.step_candidates(
+            current, following, valid=np.array([[True, False]])
+        )
+        assert not cand_valid[0, 1].any()
+        assert allowed.tolist() == [[True, False]]
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ from repro.nn import (
     Tensor,
     no_grad,
 )
-from repro.core.inference import _sigmoid_np
+from repro.nn.tensor import sigmoid_forward
 from repro.utils import RandomState
 
 
@@ -179,6 +179,23 @@ class TestGaussianHead:
         assert not np.allclose(sample.data, 0.0)
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid", "identity"])
+def test_infer_is_bitwise_the_eval_forward(activation):
+    """Each layer's array method computes what its Tensor forward computes in
+    eval mode, bit for bit (the inference engine calls the former)."""
+    x = np.random.default_rng(3).normal(scale=3.0, size=(7, 5))
+    mlp = MLP((5, 6, 4), activation=activation, final_activation=activation,
+              dropout=0.5, rng=RandomState(0))
+    head = GaussianHead(4, 3, rng=RandomState(1))
+    mlp.eval()
+    hidden = mlp(Tensor(x))
+    mu, logvar = head(hidden)
+    got_hidden = mlp.infer(x)
+    got_mu, got_logvar = head.infer(got_hidden)
+    for got, want in ((got_hidden, hidden), (got_mu, mu), (got_logvar, logvar)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.data.view(np.uint64))
+
+
 class TestRecurrent:
     def test_gru_cell_step_shape(self):
         cell = GRUCell(4, 6, rng=RandomState(0))
@@ -217,13 +234,16 @@ class TestRecurrent:
             assert param.grad is not None
 
     def test_sigmoid_np_bitwise_equals_tensor_sigmoid(self):
+        """The numpy sigmoid that ``Tensor.sigmoid`` and ``Activation.infer``
+        run is bit for bit the textbook two-branch formula."""
         sample = np.random.default_rng(13).normal(scale=25.0, size=1_000_000)
         edges = np.array([700.0, -700.0, 60.0, -60.0, 0.0, -0.0, np.nan, -np.nan])
         x = np.concatenate([sample, edges])
+        c = np.clip(x, -60, 60)
+        two_branch = np.where(x >= 0, 1.0 / (1.0 + np.exp(-c)), np.exp(c) / (1.0 + np.exp(c)))
         # Bit patterns, so signed zeros and the sign of NaN count too.
-        np.testing.assert_array_equal(
-            _sigmoid_np(x).view(np.uint64), Tensor(x).sigmoid().data.view(np.uint64)
-        )
+        for got in (sigmoid_forward(x), Tensor(x).sigmoid().data, Activation("sigmoid").infer(x)):
+            np.testing.assert_array_equal(got.view(np.uint64), two_branch.view(np.uint64))
 
     @pytest.mark.parametrize("rows", [1, 992])
     def test_gru_cell_step_bitwise_equals_forward(self, rows):

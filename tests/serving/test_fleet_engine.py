@@ -16,6 +16,7 @@ from repro.serving import (
     ThresholdAlertPolicy,
     replay_trajectories,
 )
+from repro.trajectory.dataset import encode_batch
 from repro.trajectory.types import MapMatchedTrajectory, SDPair
 from repro.utils import RandomState
 
@@ -216,6 +217,19 @@ class TestLifecycle:
         assert session.current_score == score
         assert session.segments == segments
         assert session.updates == []
+
+    def test_dead_end_offline_score_names_the_segment(self):
+        """Offline scoring rejects a step off a dead end with the same check."""
+        model = _spur_model()
+        with pytest.raises(ValueError, match=r"\bsegment 4\b.*no successor"):
+            model.score_trajectory(MapMatchedTrajectory("t", (2, 4, 3)))
+
+    def test_dead_end_training_loss_names_the_segment(self):
+        """The training loss rejects a step off a dead end with the same check."""
+        model = _spur_model()
+        batch = encode_batch([MapMatchedTrajectory("t", (2, 4, 3))], model.config.num_segments)
+        with pytest.raises(ValueError, match=r"\bsegment 4\b.*no successor"):
+            model.tg_vae(batch, model.road_graph)
 
     def test_end_defers_until_observations_drain(self, model, trajectories):
         trajectory = trajectories[0]

@@ -2,16 +2,20 @@
 """Fold benchmark timing artifacts into the committed BENCH_*.json baselines.
 
 The benchmarks (run with ``REPRO_BENCH_ARTIFACTS=<dir>``) each drop a timing
-JSON into ``<dir>``.  This tool folds the *gated ratio metrics* of those
-artifacts — speedups and throughput ratios, which divide out machine speed —
-into one committed baseline file per benchmark area at the repository root:
+JSON into ``<dir>``.  This tool folds the *gated metrics* of those artifacts
+— speedups, throughput ratios and probe-scaled rates, which divide out
+machine speed — into one committed baseline file per benchmark area at the
+repository root:
 
 ========================  =====================================================
 ``BENCH_train.json``      ``bench_train_fused`` (tg_speedup, full_speedup)
 ``BENCH_roadnet.json``    ``bench_roadnet_queries`` / ``_dataset_build`` /
                           ``_dijkstra`` (each contributes ``<part>.speedup``)
-``BENCH_scoring.json``    ``bench_score_throughput`` (score_speedup,
-                          sweep_speedup)
+``BENCH_scoring.json``    ``bench_score_throughput``
+                          (positions_per_probe_second: decoder positions
+                          scored per second of the host-speed probe;
+                          score_over_sweep: one dataset pass over one λ
+                          sweep)
 ``BENCH_fleet.json``      ``bench_fleet_throughput`` (fleet_over_offline:
                           fleet segments/s over offline scoring's on the
                           same rides)
@@ -63,8 +67,8 @@ AREAS: Dict[str, Dict[str, Dict[str, str]]] = {
     },
     "scoring": {
         "bench_score_throughput": {
-            "score_speedup": "score_speedup",
-            "sweep_speedup": "sweep_speedup",
+            "positions_per_probe_second": "positions_per_probe_second",
+            "score_over_sweep": "score_over_sweep",
         },
     },
     "fleet": {
@@ -122,14 +126,14 @@ def update(artifacts_dir: str, root: str, log=print) -> int:
             "scale": scale,
             "metrics": {name: round(value, 4) for name, value in sorted(metrics.items())},
             "sources": sorted(AREAS[area]),
-            "note": "ratios only (machine speed divides out); "
-            "refreshed by tools/update_bench_baselines.py",
+            "note": "ratios and probe-scaled rates only (machine speed divides "
+            "out); refreshed by tools/update_bench_baselines.py",
         }
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(baseline, handle, indent=2, sort_keys=True)
             handle.write("\n")
         log(f"[{area}] wrote {os.path.relpath(path, root)}: "
-            + ", ".join(f"{k}={v:.2f}x" for k, v in sorted(measured.items())))
+            + ", ".join(f"{k}={v:.4g}" for k, v in sorted(measured.items())))
         wrote += 1
     if wrote == 0:
         log(f"error: no benchmark artifacts found under {artifacts_dir}")
@@ -151,14 +155,14 @@ def check(artifacts_dir: str, root: str, tolerance: float, log=print) -> int:
         for metric, value in sorted(measured.items()):
             reference = recorded.get(metric)
             if reference is None:
-                log(f"[{area}] {metric}: {value:.2f}x (no recorded baseline)")
+                log(f"[{area}] {metric}: {value:.4g} (no recorded baseline)")
                 continue
             compared += 1
             floor = float(reference) * (1.0 - tolerance)
             status = "OK" if value >= floor else "REGRESSED"
             log(
-                f"[{area}] {metric}: measured {value:.2f}x vs baseline "
-                f"{float(reference):.2f}x (floor {floor:.2f}x) {status}"
+                f"[{area}] {metric}: measured {value:.4g} vs baseline "
+                f"{float(reference):.4g} (floor {floor:.4g}) {status}"
             )
             if value < floor:
                 regressions.append(f"{area}/{metric}")
