@@ -1,20 +1,28 @@
-"""Benchmark — fused sequence kernels: single-node BPTT vs per-step autograd.
+"""Benchmark — the fused training step: its speed, and its parity with per-step autograd.
 
 The fused training path (:mod:`repro.nn.fused`) collapses the GRU time loop,
 the embedding lookups and the (road-constrained) log-softmax/NLL loss into one
 autograd node each, with hand-derived BPTT backwards.  The per-step graph
 path it replaced is kept as a test-only reference (``tests/reference.py``).
-This benchmark gates the win on a CausalTAD batch of paper-realistic
-trajectories:
+On a CausalTAD batch of paper-realistic trajectories:
 
-* the **sequence-model training step** (TG-VAE: embedding + GRU decoder +
-  masked NLL — exactly the computation the fused kernels rewired) must run at
-  least **3×** faster than the per-step graph path;
-* the **full CausalTAD step** (which adds the RP-VAE, a flat per-segment MLP
-  VAE whose cost is single-core GEMM work shared by both paths) must win by
-  at least **1.5×**;
 * gradients of every parameter must match the graph path to **1e-8**;
-* the loss trajectory over several optimiser steps must match to **1e-6**.
+* the loss trajectory over several optimiser steps must match to **1e-6**;
+* the **sequence-model training step** (TG-VAE: embedding + GRU decoder +
+  successor NLL, then clipping and Adam) and the **full CausalTAD step**
+  (which adds the RP-VAE) are gated on training positions per
+  probe-second: the batch's decoder positions ÷ (step seconds ÷ seconds of
+  ``bench``'s host-speed probe, :func:`bench.workloads.probe_seconds`), at
+  least the committed ``BENCH_train.json`` value × 0.75.  The probe
+  divides out how fast the host runs; a step that runs the per-step
+  reference reads about a third of the baseline.
+
+All five timings (probe, fused and per-step TG-VAE step, fused and per-step
+full step) are medians of interleaved repeats.  The per-step path used to be
+the denominator of both gates.  It is bound by the interpreter and the fused
+step by BLAS, so their ratio moved with the host (a full-step ratio of
+2.47–2.64 against a 2.15 floor on a 2-vCPU VM); it is printed and recorded
+as information only.
 
 The synthetic cities generate short routes (~9 segments on average), so the
 benchmark batch replays road-constrained random walks of 96 segments — the
@@ -30,10 +38,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from bench.workloads import probe_seconds
 from benchmarks.support import (
     BENCH_SCALE,
     BENCH_SEED,
     baseline_floor,
+    interleaved_medians,
     write_timing_artifact,
 )
 from repro.core import RPVAE, TGVAE, CausalTAD, CausalTADConfig
@@ -41,17 +51,23 @@ from repro.nn import Adam, clip_grad_norm
 from repro.trajectory.dataset import encode_batch
 from repro.trajectory.types import MapMatchedTrajectory
 from repro.utils import RandomState
-from repro.utils.timing import Timer, format_duration
+from repro.utils.timing import format_duration
 from tests import reference
 
-MIN_SEQ_SPEEDUP = 3.0
-MIN_FULL_SPEEDUP = 1.5
+#: Fixed floors, set from the measured spread on a 2-vCPU host (see
+#: CHANGES.md): over 20 runs unchanged code read 313–417 (TG-VAE) and
+#: 164–232 (full step) positions per probe-second; a build whose step runs
+#: the per-step reference read 87–96 and 67–76.  The committed baseline
+#: × 0.75 ratchets each floor up.
+MIN_TG_POSITIONS_PER_PROBE_SECOND = 250.0
+MIN_FULL_POSITIONS_PER_PROBE_SECOND = 130.0
 GRAD_ATOL = 1e-8
 LOSS_ATOL = 1e-6
 WALK_LENGTH = 96
 BATCH_SIZE = 48 if BENCH_SCALE == "full" else 32
 TRAJECTORY_STEPS = 5
-ROUNDS = 8
+WARMUPS = 2
+REPEATS = 9
 
 
 def _training_batch(data, size, length=WALK_LENGTH):
@@ -116,26 +132,6 @@ def _one_backward(model, path, batch):
     return loss.item(), _grads(model)
 
 
-def _interleaved_best(step_a, step_b, rounds=ROUNDS, steps=2):
-    """Best-of wall times for two step functions, rounds interleaved.
-
-    Interleaving makes the measured *ratio* robust against machine-load
-    drift: a slow patch hits both paths, not just one.
-    """
-    step_a(), step_b()
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        with Timer() as timer:
-            for _ in range(steps):
-                step_a()
-        best_a = min(best_a, timer.elapsed / steps)
-        with Timer() as timer:
-            for _ in range(steps):
-                step_b()
-        best_b = min(best_b, timer.elapsed / steps)
-    return best_a, best_b
-
-
 def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
     batch = _training_batch(xian_data, BATCH_SIZE)
     fused, graph = _model_pair(xian_data)
@@ -151,26 +147,15 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
         worst = max(worst, delta)
         assert delta <= GRAD_ATOL, f"gradient mismatch for {name}: {delta:.3e}"
 
-    # --- sequence-model (TG-VAE) training step ----------------------------- #
-    fused_opt = Adam(fused.tg_vae.parameters(), lr=0.01)
-    graph_opt = Adam(graph.tg_vae.parameters(), lr=0.01)
-
+    # --- timings: probe, then TG-VAE and full steps on both paths -------- #
+    # Each step is the whole training update: forward, backward, clipping
+    # and Adam, on an optimiser over the parameters the loss reaches.
     def tg_step(model, path, optimizer):
         optimizer.zero_grad()
         out = path.tg_forward(model.tg_vae, batch, model.road_graph)
         out.loss.backward()
         clip_grad_norm(optimizer.parameters, 5.0)
         optimizer.step()
-
-    fused.train(), graph.train()
-    fused_seq, graph_seq = _interleaved_best(
-        lambda: tg_step(fused, FUSED, fused_opt), lambda: tg_step(graph, GRAPH, graph_opt)
-    )
-    seq_speedup = graph_seq / fused_seq
-
-    # --- full CausalTAD training step (TG-VAE + RP-VAE) -------------------- #
-    fused_full_opt = Adam(fused.parameters(), lr=0.01)
-    graph_full_opt = Adam(graph.parameters(), lr=0.01)
 
     def full_step(model, path, optimizer):
         optimizer.zero_grad()
@@ -179,19 +164,36 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
         clip_grad_norm(optimizer.parameters, 5.0)
         optimizer.step()
 
-    fused_full, graph_full = _interleaved_best(
-        lambda: full_step(fused, FUSED, fused_full_opt),
-        lambda: full_step(graph, GRAPH, graph_full_opt),
+    fused_tg_opt, graph_tg_opt = (Adam(m.tg_vae.parameters(), lr=0.01) for m in (fused, graph))
+    fused_full_opt, graph_full_opt = (Adam(m.parameters(), lr=0.01) for m in (fused, graph))
+    fused.train(), graph.train()
+    probe_time, fused_seq, graph_seq, fused_full, graph_full = interleaved_medians(
+        [
+            probe_seconds,
+            lambda: tg_step(fused, FUSED, fused_tg_opt),
+            lambda: tg_step(graph, GRAPH, graph_tg_opt),
+            lambda: full_step(fused, FUSED, fused_full_opt),
+            lambda: full_step(graph, GRAPH, graph_full_opt),
+        ],
+        warmups=WARMUPS,
+        repeats=REPEATS,
     )
+    positions = int(batch.mask.sum())
+    tg_rate = positions * probe_time / fused_seq
+    full_rate = positions * probe_time / fused_full
+    seq_speedup = graph_seq / fused_seq
     full_speedup = graph_full / fused_full
 
     print()
     print(f"Training step on {batch.batch_size} walks of {batch.max_length} segments "
-          f"({xian_data.num_segments}-segment network):")
-    print(f"  TG-VAE (sequence model)  graph {format_duration(graph_seq)}  "
-          f"fused {format_duration(fused_seq)}  speedup {seq_speedup:.1f}x")
-    print(f"  CausalTAD (TG + RP)      graph {format_duration(graph_full)}  "
-          f"fused {format_duration(fused_full)}  speedup {full_speedup:.1f}x")
+          f"({positions} positions, {xian_data.num_segments}-segment network), medians "
+          f"of {REPEATS} interleaved repeats, probe {format_duration(probe_time)}:")
+    print(f"  TG-VAE (sequence model)  fused {format_duration(fused_seq)}  "
+          f"{tg_rate:,.0f} positions per probe-second  graph {format_duration(graph_seq)}  "
+          f"graph / fused {seq_speedup:.1f}x (not gated)")
+    print(f"  CausalTAD (TG + RP)      fused {format_duration(fused_full)}  "
+          f"{full_rate:,.0f} positions per probe-second  graph {format_duration(graph_full)}  "
+          f"graph / fused {full_speedup:.1f}x (not gated)")
     print(f"  worst grad mismatch      {worst:.2e}")
 
     write_timing_artifact(
@@ -200,27 +202,35 @@ def test_bench_train_fused_speedup_and_gradient_parity(xian_data):
             "batch_size": batch.batch_size,
             "max_length": batch.max_length,
             "num_segments": xian_data.num_segments,
+            "positions": positions,
+            "probe_seconds": probe_time,
             "tg_graph_step_seconds": graph_seq,
             "tg_fused_step_seconds": fused_seq,
-            "tg_speedup": seq_speedup,
+            "tg_graph_over_fused": seq_speedup,
+            "tg_positions_per_probe_second": tg_rate,
             "full_graph_step_seconds": graph_full,
             "full_fused_step_seconds": fused_full,
-            "full_speedup": full_speedup,
+            "full_graph_over_fused": full_speedup,
+            "full_positions_per_probe_second": full_rate,
             "worst_grad_mismatch": worst,
-            "min_seq_speedup_required": MIN_SEQ_SPEEDUP,
-            "min_full_speedup_required": MIN_FULL_SPEEDUP,
+            "min_tg_positions_per_probe_second_required": MIN_TG_POSITIONS_PER_PROBE_SECOND,
+            "min_full_positions_per_probe_second_required": MIN_FULL_POSITIONS_PER_PROBE_SECOND,
         },
     )
 
-    seq_floor = baseline_floor("train", "tg_speedup", MIN_SEQ_SPEEDUP)
-    assert seq_speedup >= seq_floor, (
-        f"fused sequence-model step only {seq_speedup:.1f}x faster than the "
-        f"per-step graph path (required {seq_floor:.1f}x)"
+    tg_floor = baseline_floor(
+        "train", "tg_positions_per_probe_second", MIN_TG_POSITIONS_PER_PROBE_SECOND
     )
-    full_floor = baseline_floor("train", "full_speedup", MIN_FULL_SPEEDUP)
-    assert full_speedup >= full_floor, (
-        f"fused CausalTAD step only {full_speedup:.1f}x faster than the "
-        f"per-step graph path (required {full_floor:.1f}x)"
+    assert tg_rate >= tg_floor, (
+        f"the TG-VAE training step trains only {tg_rate:,.0f} positions per "
+        f"probe-second (required {tg_floor:,.0f})"
+    )
+    full_floor = baseline_floor(
+        "train", "full_positions_per_probe_second", MIN_FULL_POSITIONS_PER_PROBE_SECOND
+    )
+    assert full_rate >= full_floor, (
+        f"the CausalTAD training step trains only {full_rate:,.0f} positions per "
+        f"probe-second (required {full_floor:,.0f})"
     )
 
 

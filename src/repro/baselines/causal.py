@@ -70,7 +70,7 @@ class CausalTADDetector(TrajectoryAnomalyDetector):
     ) -> "CausalTADDetector":
         """Train on normal trajectories.
 
-        ``checkpoint_path`` enables the trainer's atomic epoch checkpoints
+        ``checkpoint_path`` enables the trainer's kill-safe epoch checkpoints
         and bit-identical resume (see :meth:`repro.core.trainer.Trainer.fit`).
         """
         if train.num_segments != self.config.num_segments:

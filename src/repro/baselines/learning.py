@@ -73,7 +73,7 @@ class Seq2SeqDetector(TrajectoryAnomalyDetector):
     ) -> "Seq2SeqDetector":
         """Train on normal trajectories; the road network is unused by baselines.
 
-        ``checkpoint_path`` enables the trainer's atomic epoch checkpoints
+        ``checkpoint_path`` enables the trainer's kill-safe epoch checkpoints
         and bit-identical resume (see :meth:`repro.core.trainer.Trainer.fit`).
         """
         if train.num_segments != self.config.num_segments:

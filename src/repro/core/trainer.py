@@ -8,37 +8,45 @@ the model internals beyond "forward(batch) returns an object with a ``total``
 
 Checkpoint / resume
 -------------------
-``fit(..., checkpoint_path=...)`` writes an atomic training checkpoint at
-epoch boundaries (parameters, Adam moments + step count, loss history and the
+``fit(..., checkpoint_path=...)`` writes a training checkpoint at epoch
+boundaries (parameters, Adam moments + step count, loss history and the
 state of *every* random stream feeding the run — the trainer's shuffle rng
 and any ``_rng`` owned by a submodule, e.g. the VAE reparameterisation
-streams).  When the path already holds a checkpoint, ``fit`` restores it and
-continues from the recorded epoch; because the RNG streams resume mid-stream,
-the continuation is bit-identical to an uninterrupted run
-(``tests/core/test_checkpoint_resume.py`` pins this).
+streams).  The checkpoint alternates between two slot files overwritten in
+place (:mod:`repro.nn.serialization`), so a run killed mid-write still
+resumes from the epoch before.  When the path already holds a checkpoint,
+``fit`` restores the newest usable slot and continues from the recorded
+epoch; because the RNG streams resume mid-stream, the continuation is
+bit-identical to an uninterrupted run (``tests/core/test_checkpoint_resume.py``
+pins this).
+
+A checkpoint belongs to one run.  It stores the run's fingerprint: the
+training config without ``epochs`` and
+``log_every`` (neither changes the epochs already trained, so
+``fit(epochs=3)`` followed by ``fit()`` resumes), the model class and its
+config, and a digest of the training set's trajectory ids, segments and
+labels; the serialization layer adds the parameter layout.  A checkpoint
+whose fingerprint or layout differs raises ``ValueError`` naming the part
+before anything is restored, and ``fit`` logs it and trains from scratch.
+Each write runs in a ``train/checkpoint`` span and counts
+``train/checkpoints`` and ``train/checkpoint_bytes``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro import obs
 from repro.core.config import TrainingConfig
-from repro.nn import (
-    Adam,
-    Module,
-    Tensor,
-    clip_grad_norm,
-    load_training_checkpoint,
-    save_training_checkpoint,
-)
+from repro.nn import Adam, CheckpointSlots, Module, Tensor, clip_grad_norm
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
@@ -46,6 +54,11 @@ from repro.utils.rng import RandomState
 __all__ = ["TrainingHistory", "Trainer"]
 
 logger = get_logger("core.trainer")
+
+#: ``TrainingConfig`` fields left out of a checkpoint's fingerprint: they say
+#: how long to train and how often to log, not how the epochs trained so far
+#: went.
+_SCHEDULE_FIELDS = ("epochs", "log_every")
 
 
 @dataclass
@@ -76,6 +89,33 @@ class TrainingHistory:
             "validation_losses": list(self.validation_losses),
             "epoch_seconds": list(self.epoch_seconds),
         }
+
+
+def _run_config(value: Any) -> Any:
+    """A config as JSON values, each ``TrainingConfig`` without its schedule fields.
+
+    Numpy scalars become Python numbers, so a config built from array
+    arithmetic still serialises.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = {f.name: _run_config(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        if isinstance(value, TrainingConfig):
+            for name in _SCHEDULE_FIELDS:
+                del fields[name]
+        return fields
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _data_digest(dataset: TrajectoryDataset) -> str:
+    """SHA-256 over the trajectory ids, segments and labels, in dataset order."""
+    digest = hashlib.sha256()
+    for item in dataset:
+        trajectory = item.trajectory
+        digest.update(f"{trajectory.trajectory_id}\0{item.label}\0{len(trajectory)}\0".encode())
+        digest.update(np.asarray(trajectory.segments, dtype=np.int64).tobytes())
+    return digest.hexdigest()
 
 
 def _finite_loss(loss: Tensor, epoch: int, step: int) -> float:
@@ -135,24 +175,32 @@ class Trainer:
         ----------
         checkpoint_path:
             When given, a full training checkpoint (parameters, optimiser
-            moments, RNG streams, history) is written there atomically every
-            ``checkpoint_every`` epochs and after the final epoch.
+            moments, RNG streams, history, run fingerprint) is written there
+            every ``checkpoint_every`` epochs and after the final epoch, into
+            the older of its two slot files.
         resume:
-            When True (default) and ``checkpoint_path`` already exists, the
-            checkpoint is restored and training continues from the recorded
-            epoch — bit-identical to a run that was never interrupted,
-            provided the trainer was constructed the same way (same model
-            init, seed and config) as the interrupted one.
+            When True (default) and ``checkpoint_path`` already holds a
+            checkpoint of this run (same fingerprint, see the module
+            docstring), it is restored and training continues from the
+            recorded epoch — bit-identical to a run that was never
+            interrupted, provided the trainer was constructed the same way
+            (same model init, seed and config) as the interrupted one.  A
+            checkpoint of another run, or one that cannot be read, is logged
+            and training starts from scratch.
         """
         config = self.config
         epochs = epochs if epochs is not None else config.epochs
         train_set, validation_set = self._split_validation(dataset, validation)
 
         start_epoch = 0
-        if checkpoint_path is not None and resume:
-            start_epoch = self._try_resume(checkpoint_path)
-            if start_epoch:
-                logger.info("resumed from %s at epoch %d", checkpoint_path, start_epoch)
+        checkpoint = fingerprint = None
+        if checkpoint_path is not None:
+            checkpoint = CheckpointSlots(checkpoint_path)
+            fingerprint = self._fingerprint(dataset)
+            if resume:
+                start_epoch = self._try_resume(checkpoint, fingerprint)
+                if start_epoch:
+                    logger.info("resumed from %s at epoch %d", checkpoint_path, start_epoch)
 
         with obs.span("train/fit", epochs=epochs, start_epoch=start_epoch):
             for epoch in range(start_epoch, epochs):
@@ -190,10 +238,10 @@ class Trainer:
                     )
                     logger.info("epoch %d/%d: train %.4f%s", epoch + 1, epochs, mean_loss, val)
 
-                if checkpoint_path is not None and (
+                if checkpoint is not None and (
                     (epoch + 1) % max(checkpoint_every, 1) == 0 or epoch + 1 == epochs
                 ):
-                    self.save_checkpoint(checkpoint_path, epoch=epoch + 1)
+                    self._write_checkpoint(checkpoint, epoch + 1, fingerprint)
         return self.history
 
     def train_one_epoch(self, dataset: TrajectoryDataset) -> float:
@@ -231,36 +279,75 @@ class Trainer:
     # ------------------------------------------------------------------ #
     # checkpoint / resume
     # ------------------------------------------------------------------ #
+    def _fingerprint(self, dataset: Optional[TrajectoryDataset] = None) -> Dict[str, Any]:
+        """The parts that make a checkpoint belong to this run.
+
+        ``training``: the training config without ``epochs`` and
+        ``log_every``; ``model``: the model class and, when it has one, its
+        dataclass ``config`` (any nested ``TrainingConfig`` likewise without
+        the two); ``data`` (only when ``dataset`` is given): a SHA-256 digest
+        of the training set's trajectory ids, segments and labels.
+        """
+        model: Dict[str, Any] = {"class": type(self.model).__name__}
+        config = getattr(self.model, "config", None)
+        if dataclasses.is_dataclass(config) and not isinstance(config, type):
+            model["config"] = _run_config(config)
+        parts: Dict[str, Any] = {"training": _run_config(self.config), "model": model}
+        if dataset is not None:
+            parts["data"] = _data_digest(dataset)
+        return parts
+
     def save_checkpoint(self, path: Union[str, Path], epoch: Optional[int] = None) -> Path:
-        """Write a full training checkpoint (atomic).
+        """Write a full training checkpoint into the older of the path's two slots.
 
         Captures the model parameters, the optimiser's state, the loss
-        history and a positional list of every RNG stream the run draws from
-        (see :meth:`_rng_sources`).  ``epoch`` defaults to the number of
-        epochs recorded in the history.
+        history, a positional list of every RNG stream the run draws from
+        (see :meth:`_rng_sources`) and the run's fingerprint without its
+        ``data`` part (``fit`` adds that part, so ``fit`` does not resume
+        from a checkpoint written here).  ``epoch`` defaults to the number of
+        epochs recorded in the history.  Returns the slot written.
         """
-        metadata = {
-            "epoch": int(epoch if epoch is not None else self.history.num_epochs),
-            "history": self.history.as_dict(),
-        }
-        return save_training_checkpoint(
-            path,
-            self.model,
-            optimizer=self.optimizer,
-            rng_states=[source.get_state() for source in self._rng_sources()],
-            metadata=metadata,
-        )
+        return self._write_checkpoint(CheckpointSlots(path), epoch, self._fingerprint())
+
+    def _write_checkpoint(
+        self, checkpoint: CheckpointSlots, epoch: Optional[int], fingerprint: Dict[str, Any]
+    ) -> Path:
+        epoch = int(epoch if epoch is not None else self.history.num_epochs)
+        with obs.span("train/checkpoint", epoch=epoch) as span:
+            written = checkpoint.save(
+                self.model,
+                optimizer=self.optimizer,
+                rng_states=[source.get_state() for source in self._rng_sources()],
+                metadata={"epoch": epoch, "history": self.history.as_dict()},
+                fingerprint=fingerprint,
+            )
+            size = written.stat().st_size
+            if isinstance(span, obs.Span):
+                span.attrs["bytes"] = size
+        registry = obs.metrics()
+        if registry.enabled:
+            scope = registry.scope("train")
+            scope.counter("checkpoints").inc()
+            scope.counter("checkpoint_bytes").inc(size)
+        return written
 
     def load_checkpoint(self, path: Union[str, Path]) -> int:
         """Restore a checkpoint in place; returns the epoch to resume from.
 
-        Validation (optimiser type, RNG stream count, parameter names/shapes)
-        happens before any state is touched, so a mismatching checkpoint
-        raises and leaves the trainer exactly as constructed.
+        Validation (the run fingerprint except its ``data`` part, optimiser
+        type, RNG stream count, parameter names/shapes) happens before any
+        state is touched, so a mismatching checkpoint raises a ``ValueError``
+        naming what differs and leaves the trainer exactly as constructed.
         """
+        return self._restore(CheckpointSlots(path), self._fingerprint())
+
+    def _restore(self, checkpoint: CheckpointSlots, fingerprint: Dict[str, Any]) -> int:
         sources = self._rng_sources()
-        metadata, rng_states = load_training_checkpoint(
-            path, self.model, self.optimizer, expected_rng_streams=len(sources)
+        metadata, rng_states = checkpoint.load(
+            self.model,
+            self.optimizer,
+            expected_rng_streams=len(sources),
+            fingerprint=fingerprint,
         )
         if rng_states is not None:
             for source, state in zip(sources, rng_states):
@@ -288,24 +375,21 @@ class Trainer:
                 sources.append(candidate)
         return sources
 
-    def _try_resume(self, path: Union[str, Path]) -> int:
-        """Restore ``path`` if it exists and is readable; returns the epoch."""
-        path = Path(path)
-        if path.suffix != ".npz":
-            candidate = path.with_suffix(path.suffix + ".npz")
-            path = candidate if candidate.exists() else path
-        if not path.exists():
-            return 0
+    def _try_resume(self, checkpoint: CheckpointSlots, fingerprint: Dict[str, Any]) -> int:
+        """Restore ``checkpoint`` if it holds one of this run; returns the epoch."""
         try:
-            return self.load_checkpoint(path)
-        except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
-            # BadZipFile/EOFError/OSError: truncated or unreadable file;
-            # ValueError: not an .npz archive, stale shapes or wrong
+            return self._restore(checkpoint, fingerprint)
+        except FileNotFoundError:
+            return 0
+        except (OSError, ValueError, KeyError) as exc:
+            # ValueError: no slot reads whole (torn, corrupt, an older
+            # layout), another run's fingerprint, stale shapes or the wrong
             # optimiser/RNG layout; KeyError: missing optimizer state or
-            # renamed parameters.  All mean "cannot resume from this" —
-            # load_checkpoint validates before mutating, so the trainer is
-            # untouched and training restarts from scratch.
-            logger.warning("ignoring unusable checkpoint %s (%s)", path, exc)
+            # renamed parameters; OSError: the file cannot be opened.  All
+            # mean "cannot resume from this" — validation precedes every
+            # mutation, so the trainer is untouched and training restarts
+            # from scratch.
+            logger.warning("ignoring unusable checkpoint %s (%s)", checkpoint.paths[0], exc)
             return 0
 
     # ------------------------------------------------------------------ #

@@ -19,7 +19,7 @@ losses and optimisers required by the paper's models and baselines:
   forwards are numpy functions that scoring calls too
   (:func:`gather_log_softmax`, :func:`successor_step_nll`, …), and the
   layers offer the same arithmetic on raw arrays (``Linear.infer`` etc.).
-* Optimisers: :class:`SGD`, :class:`Adam` (fully in-place updates), plus
+* Optimisers: :class:`SGD`, :class:`Adam` (one flat in-place update per step), plus
   gradient clipping.
 * Checkpoint (de)serialisation helpers.
 """
@@ -64,6 +64,7 @@ from repro.nn.serialization import (
     load_state_dict,
     save_training_checkpoint,
     load_training_checkpoint,
+    CheckpointSlots,
 )
 
 __all__ = [
@@ -114,6 +115,7 @@ __all__ = [
     "load_checkpoint",
     "save_training_checkpoint",
     "load_training_checkpoint",
+    "CheckpointSlots",
     "save_state_dict",
     "load_state_dict",
 ]

@@ -3,11 +3,21 @@
 The paper trains CausalTAD with Adam (initial learning rate 0.01, hidden dim
 128, 200 epochs).  Both optimisers support gradient clipping by global norm,
 which stabilises the RNN trajectory decoder on long sequences.
+
+:class:`Adam` keeps its moments and scratch as flat buffers over all its
+parameters, so one step runs the update once over one contiguous array
+instead of once per parameter; the result is bitwise the per-parameter
+update, which ``tests/reference.py`` keeps as the oracle.  Its
+:meth:`~Adam.state_dict` holds the two flat moments, which is what lets a
+training checkpoint (:mod:`repro.nn.serialization`) store them as two
+archive members.  :func:`clip_grad_norm` sums one dot product per parameter
+on purpose: one flat dot would add in another order and move the trained
+weights in their last bits.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
@@ -61,13 +71,12 @@ class Optimizer:
         Returns a dict with three keys:
 
         * ``"type"`` — the optimiser class name (checked on load),
-        * ``"arrays"`` — per-parameter state arrays keyed by
-          ``"<parameter index>.<field>"`` (the index refers to the position in
-          ``self.parameters``, which is deterministic for a given model),
+        * ``"arrays"`` — the state arrays: SGD keys its velocities by
+          ``"<parameter index>.velocity"`` (the index refers to the position in
+          ``self.parameters``, which is deterministic for a given model) and
+          leaves out parameters that never had a gradient; Adam holds two
+          flat arrays, ``"m"`` and ``"v"``, over all its parameters,
         * ``"extra"`` — JSON-serialisable scalars (e.g. Adam's step count).
-
-        Parameters that have never received a gradient carry no state and are
-        simply absent from ``"arrays"``.
         """
         return {"type": type(self).__name__, "arrays": {}, "extra": {}}
 
@@ -156,12 +165,17 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015) — the optimiser used in the paper.
 
-    The update runs fully in place: first and second moments are mutated with
-    ``out=``-style ufuncs through one preallocated scratch buffer per
-    parameter, so a step allocates no per-parameter temporaries.  (The
-    original formulation allocated roughly seven arrays per parameter per
-    step — measurable pressure when the training loop otherwise runs through
-    the fused sequence kernels.)
+    The moments ``m`` and ``v`` and the step's scratch are flat buffers over
+    all parameters, in the order given, with one offset table.  A step copies
+    each gradient into its slice of a flat gradient buffer, runs the update
+    once per contiguous span of parameters that have a gradient (one span
+    when every parameter has one) and subtracts each slice from its
+    parameter in place.  Per element the operations, their order and the
+    scalars are those of the per-parameter update it replaced (kept as
+    ``tests.reference.PerParameterAdam``), so the result is the same to the
+    bit; what the flat layout saves is about ten ufunc calls per parameter
+    per step.  A repeated parameter or mixed parameter dtypes
+    raise ``ValueError``.
     """
 
     def __init__(
@@ -176,40 +190,50 @@ class Adam(Optimizer):
         beta1, beta2 = betas
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
+        if len({id(p) for p in self.parameters}) != len(self.parameters):
+            raise ValueError("Adam received the same parameter more than once")
+        dtypes = {p.data.dtype for p in self.parameters}
+        if len(dtypes) != 1:
+            raise ValueError(f"Adam needs one parameter dtype; got {sorted(map(str, dtypes))}")
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        # Per-parameter (m, v, scratch, decay_scratch) buffers keyed by id.
-        self._state: Dict[int, tuple] = {}
+        dtype = dtypes.pop()
+        bounds = np.cumsum([0] + [p.data.size for p in self.parameters]).tolist()
+        self._offsets = list(zip(bounds[:-1], bounds[1:]))
+        self._m = np.zeros(bounds[-1], dtype=dtype)
+        self._v = np.zeros(bounds[-1], dtype=dtype)
+        self._grad = np.empty(bounds[-1], dtype=dtype)
+        self._scratch = np.empty(bounds[-1], dtype=dtype)
+        # Each parameter's slice of the gradient and scratch buffers, shaped
+        # like the parameter.
+        self._views = [
+            (self._grad[a:b].reshape(p.data.shape), self._scratch[a:b].reshape(p.data.shape))
+            for p, (a, b) in zip(self.parameters, self._offsets)
+        ]
         self._t = 0
 
-    def _buffers(self, p: Parameter) -> tuple:
-        state = self._state.get(id(p))
-        if state is None:
-            state = (
-                np.zeros_like(p.data),
-                np.zeros_like(p.data),
-                np.empty_like(p.data),
-                np.empty_like(p.data) if self.weight_decay else None,
-            )
-            self._state[id(p)] = state
-        return state
-
     def step(self) -> None:
-        """Apply one in-place Adam update to every parameter with a gradient."""
+        """Apply one Adam update to every parameter with a gradient."""
         self._t += 1
         bias1 = 1.0 - self.beta1**self._t
         bias2 = 1.0 - self.beta2**self._t
-        for p in self.parameters:
+        runs: List[List[int]] = []
+        for p, (a, b), (grad, decay) in zip(self.parameters, self._offsets, self._views):
             if p.grad is None:
                 continue
-            m, v, scratch, decay = self._buffers(p)
-            grad = np.asarray(p.grad, dtype=p.data.dtype)
+            np.copyto(grad, p.grad)
             if self.weight_decay:
                 np.multiply(p.data, self.weight_decay, out=decay)
-                decay += grad
-                grad = decay
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        for a, b in runs:
+            grad, m, v, scratch = self._grad[a:b], self._m[a:b], self._v[a:b], self._scratch[a:b]
+            if self.weight_decay:
+                grad += scratch  # the scratch holds p * weight_decay from the loop above
             # m = beta1 * m + (1 - beta1) * grad
             m *= self.beta1
             np.multiply(grad, 1.0 - self.beta1, out=scratch)
@@ -225,16 +249,21 @@ class Adam(Optimizer):
             scratch += self.eps
             np.divide(m, scratch, out=scratch)
             scratch *= self.lr / bias1
-            p.data -= scratch
+        for p, (_, update) in zip(self.parameters, self._views):
+            if p.grad is not None:
+                p.data -= update
 
     def state_dict(self) -> Dict[str, Any]:
+        """The step count and copies of the flat moments ``m`` and ``v``.
+
+        Parameter ``i`` owns the slice ``[sum of sizes before i, + its
+        size)`` of each moment; a parameter that never had a gradient holds
+        zeros there, which is what a fresh optimiser starts from.
+        """
         state = super().state_dict()
         state["extra"]["t"] = self._t
-        for index, p in enumerate(self.parameters):
-            buffers = self._state.get(id(p))
-            if buffers is not None:
-                state["arrays"][f"{index}.m"] = buffers[0].copy()
-                state["arrays"][f"{index}.v"] = buffers[1].copy()
+        state["arrays"]["m"] = self._m.copy()
+        state["arrays"]["v"] = self._v.copy()
         return state
 
     def load_state_dict(self, state) -> None:
@@ -243,21 +272,19 @@ class Adam(Optimizer):
         # snapshot raises with the optimiser unchanged.
         if "t" not in state.get("extra", {}):
             raise KeyError("Adam state is missing the step count 't'")
-        resolved = []
-        for key, value in state["arrays"].items():
-            param, field = self._param_at(key)
-            if field not in ("m", "v"):
-                raise ValueError(f"unknown Adam state field {field!r}")
-            array = np.asarray(value)
-            if array.shape != param.data.shape:
+        arrays = state["arrays"]
+        unknown = sorted(set(arrays) - {"m", "v"})
+        if unknown:
+            raise ValueError(f"unknown Adam state field(s) {unknown}")
+        for field in ("m", "v"):
+            if field not in arrays:
+                raise KeyError(f"Adam state is missing the moment {field!r}")
+            shape = np.shape(arrays[field])
+            if shape != self._m.shape:
                 raise ValueError(
-                    f"Adam state shape mismatch for {key!r}: expected "
-                    f"{param.data.shape}, got {array.shape}"
+                    f"Adam state {field!r} has shape {shape}; the parameters hold "
+                    f"{self._m.size} values"
                 )
-            resolved.append((param, field, array))
         self._t = int(state["extra"]["t"])
-        self._state = {}
-        for param, field, array in resolved:
-            m, v, _, _ = self._buffers(param)
-            target = m if field == "m" else v
-            np.copyto(target, array.astype(param.data.dtype, copy=False))
+        np.copyto(self._m, arrays["m"])
+        np.copyto(self._v, arrays["v"])

@@ -9,15 +9,23 @@ streams (batch shuffling and VAE reparameterisation noise), same arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
+import logging
+import shutil
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.core import CausalTAD, CausalTADConfig, Trainer, TrainingConfig
 from repro.nn import (
     Adam,
+    CheckpointSlots,
     Linear,
     SGD,
+    load_state_dict,
     load_training_checkpoint,
+    save_state_dict,
     save_training_checkpoint,
 )
 from repro.nn.module import Parameter
@@ -33,12 +41,42 @@ def tiny_data():
     )
 
 
-def _make_trainer(data, seed: int = 1, epochs: int = 6):
+def _make_trainer(data, seed: int = 1, epochs: int = 6, learning_rate: float = 0.02):
     rng = RandomState(seed)
     config = CausalTADConfig.tiny(data.num_segments)
     model = CausalTAD(config, network=data.city.network, rng=rng)
-    training = TrainingConfig(epochs=epochs, batch_size=16, learning_rate=0.02, seed=seed)
+    training = TrainingConfig(epochs=epochs, batch_size=16, learning_rate=learning_rate, seed=seed)
     return model, Trainer(model, training, rng=rng)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tiny_data):
+    """Loss history and parameters of a 6-epoch run without checkpoints."""
+    model, trainer = _make_trainer(tiny_data)
+    history = trainer.fit(tiny_data.train)
+    return history.train_losses, {name: p.data.copy() for name, p in model.named_parameters()}
+
+
+def _assert_bitwise_uninterrupted(uninterrupted, history, model):
+    losses, params = uninterrupted
+    assert history.train_losses == losses
+    for name, p in model.named_parameters():
+        assert np.array_equal(p.data.view(np.uint64), params[name].view(np.uint64)), name
+
+
+@pytest.fixture(scope="module")
+def four_epoch_slots(tiny_data, tmp_path_factory):
+    """The two slot files a 4-epoch run of :func:`_make_trainer` leaves behind."""
+    checkpoint = tmp_path_factory.mktemp("four-epochs") / "ckpt.npz"
+    _, trainer = _make_trainer(tiny_data)
+    trainer.fit(tiny_data.train, epochs=4, checkpoint_path=checkpoint)
+    return CheckpointSlots(checkpoint).paths
+
+
+def _copy_slots(slots, directory):
+    for slot in slots:
+        shutil.copy(slot, directory / slot.name)
+    return directory / slots[0].name
 
 
 class TestOptimizerStateRoundTrip:
@@ -74,10 +112,8 @@ class TestOptimizerStateRoundTrip:
         optimizer = Adam([param], lr=0.1)
         param.grad = np.ones(3)
         optimizer.step()
-        t_before = optimizer._t
-        m_before = optimizer._state[id(param)][0].copy()
-
         good = optimizer.state_dict()
+
         missing_t = {"type": "Adam", "arrays": dict(good["arrays"]), "extra": {}}
         with pytest.raises(KeyError):
             optimizer.load_state_dict(missing_t)
@@ -87,9 +123,17 @@ class TestOptimizerStateRoundTrip:
         bad_shape = {"type": "Adam", "arrays": {"0.m": np.zeros(7)}, "extra": {"t": 1}}
         with pytest.raises(ValueError):
             optimizer.load_state_dict(bad_shape)
+        short_m = {"m": np.zeros(7), "v": np.zeros(3)}
+        with pytest.raises(ValueError):
+            optimizer.load_state_dict({"type": "Adam", "arrays": short_m, "extra": {"t": 5}})
+        missing_v = {"type": "Adam", "arrays": {"m": np.zeros(3)}, "extra": {"t": 5}}
+        with pytest.raises(KeyError):
+            optimizer.load_state_dict(missing_v)
 
-        assert optimizer._t == t_before
-        np.testing.assert_array_equal(optimizer._state[id(param)][0], m_before)
+        after = optimizer.state_dict()
+        assert after["extra"] == good["extra"]
+        for field in ("m", "v"):
+            np.testing.assert_array_equal(after["arrays"][field], good["arrays"][field])
 
     def test_sgd_velocity_round_trip(self):
         param = Parameter(np.zeros(4))
@@ -226,3 +270,153 @@ class TestBitIdenticalResume:
         )
         # resume=False retrains from scratch (2 fresh epochs, not 0).
         assert history.num_epochs == 2
+
+
+class TestTornWrites:
+    """Two slots overwritten in place: a damaged newest slot falls back to the other."""
+
+    @pytest.mark.parametrize("damage", ["cut-first", "cut-middle", "cut-last", "flip-payload"])
+    def test_damaged_newest_slot_resumes_from_the_previous_epoch(
+        self, damage, tiny_data, four_epoch_slots, uninterrupted, tmp_path, caplog
+    ):
+        checkpoint = _copy_slots(four_epoch_slots, tmp_path)
+        slots = CheckpointSlots(checkpoint).paths
+        epochs = {slot: load_state_dict(slot)[1]["epoch"] for slot in slots}
+        assert sorted(epochs.values()) == [3, 4]
+        newest = max(slots, key=epochs.get)
+        raw = bytearray(newest.read_bytes())
+        if damage == "flip-payload":
+            # A byte inside the first member's array data, past its headers.
+            raw[len(raw) // 4] ^= 0xFF
+            newest.write_bytes(bytes(raw))
+        else:
+            cut = {"cut-first": 0, "cut-middle": len(raw) // 2, "cut-last": len(raw) - 1}[damage]
+            newest.write_bytes(bytes(raw[:cut]))
+
+        model, trainer = _make_trainer(tiny_data)
+        with caplog.at_level(logging.INFO, logger="repro.core.trainer"):
+            history = trainer.fit(tiny_data.train, checkpoint_path=checkpoint)
+        assert any("at epoch 3" in record.getMessage() for record in caplog.records)
+        _assert_bitwise_uninterrupted(uninterrupted, history, model)
+
+    def test_load_takes_the_newer_slot(self, tiny_data, four_epoch_slots, tmp_path):
+        checkpoint = _copy_slots(four_epoch_slots, tmp_path)
+        _, trainer = _make_trainer(tiny_data)
+        assert trainer.load_checkpoint(checkpoint) == 4
+        assert trainer.history.num_epochs == 4
+
+    def test_both_slots_damaged_trains_from_scratch(
+        self, tiny_data, four_epoch_slots, uninterrupted, tmp_path, caplog
+    ):
+        checkpoint = _copy_slots(four_epoch_slots, tmp_path)
+        for slot in CheckpointSlots(checkpoint).paths:
+            raw = slot.read_bytes()
+            slot.write_bytes(raw[: len(raw) // 2])
+
+        model, trainer = _make_trainer(tiny_data)
+        with caplog.at_level(logging.WARNING, logger="repro.core.trainer"):
+            history = trainer.fit(tiny_data.train, checkpoint_path=checkpoint)
+        assert any("ignoring unusable checkpoint" in r.getMessage() for r in caplog.records)
+        _assert_bitwise_uninterrupted(uninterrupted, history, model)
+
+    def test_per_tensor_layout_is_ignored_with_a_warning(
+        self, tiny_data, uninterrupted, tmp_path, caplog
+    ):
+        """An archive of one member per tensor, as older versions wrote, is not resumed."""
+        model, trainer = _make_trainer(tiny_data)
+        state = {f"model.{name}": p.data for name, p in model.named_parameters()}
+        state.update({f"optim.{i}.m": np.zeros(p.shape) for i, p in enumerate(model.parameters())})
+        checkpoint = save_state_dict(
+            state,
+            tmp_path / "ckpt.npz",
+            metadata={"epoch": 2, "history": {"train_losses": [1.0, 0.5]},
+                      "__optimizer__": {"type": "Adam", "extra": {"t": 4}}},
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.core.trainer"):
+            history = trainer.fit(tiny_data.train, checkpoint_path=checkpoint)
+        assert any("per-tensor layout" in r.getMessage() for r in caplog.records)
+        _assert_bitwise_uninterrupted(uninterrupted, history, model)
+
+    def test_slots_are_few_members_overwritten_in_place(self, tiny_data, tmp_path, monkeypatch):
+        """A 5-epoch fit writes archives of at most 5 members, and creates no
+        file after its second epoch: from epoch 3 on each slot keeps its inode."""
+        writes = []
+        save = CheckpointSlots.save
+
+        def recording_save(self, *args, **kwargs):
+            written = save(self, *args, **kwargs)
+            with zipfile.ZipFile(written) as archive:
+                members = len(archive.namelist())
+            writes.append((written, written.stat().st_ino, members))
+            return written
+
+        monkeypatch.setattr(CheckpointSlots, "save", recording_save)
+        _, trainer = _make_trainer(tiny_data, epochs=5)
+        trainer.fit(tiny_data.train, checkpoint_path=tmp_path / "ckpt.npz")
+
+        assert len(writes) == 5
+        assert all(members <= 5 for _, _, members in writes)
+        first, second = writes[0], writes[1]
+        assert first[0] != second[0]
+        for index, (written, inode, _) in enumerate(writes[2:], start=2):
+            assert (written, inode) == (writes[index % 2][0], writes[index % 2][1])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.1.npz", "ckpt.npz"]
+
+
+class TestCheckpointBelongsToOneRun:
+    """The run fingerprint: another run's checkpoint is logged and trained over."""
+
+    def test_other_split_of_the_same_city_trains_fresh(self, tiny_data, tmp_path, caplog):
+        other = build_benchmark_data(
+            city=tiny_data.city, config=BenchmarkConfig.tiny(), rng=RandomState(5)
+        )
+        assert other.num_segments == tiny_data.num_segments
+        checkpoint = tmp_path / "ckpt.npz"
+        _, first = _make_trainer(tiny_data)
+        first.fit(tiny_data.train, epochs=2, checkpoint_path=checkpoint)
+
+        model, trainer = _make_trainer(tiny_data)
+        with caplog.at_level(logging.WARNING, logger="repro.core.trainer"):
+            history = trainer.fit(other.train, checkpoint_path=checkpoint)
+        assert any("'data' part differs" in r.getMessage() for r in caplog.records)
+
+        fresh_model, fresh = _make_trainer(tiny_data)
+        expected = fresh.fit(other.train)
+        _assert_bitwise_uninterrupted(
+            (expected.train_losses, {n: p.data for n, p in fresh_model.named_parameters()}),
+            history,
+            model,
+        )
+
+    def test_longer_schedule_resumes(self, tiny_data, uninterrupted, tmp_path, caplog):
+        """``epochs`` and ``log_every`` are not part of the fingerprint."""
+        checkpoint = tmp_path / "ckpt.npz"
+        _, first = _make_trainer(tiny_data, epochs=3)
+        first.fit(tiny_data.train, checkpoint_path=checkpoint)
+
+        model, trainer = _make_trainer(tiny_data)
+        trainer.config = dataclasses.replace(trainer.config, log_every=2)
+        with caplog.at_level(logging.INFO, logger="repro.core.trainer"):
+            history = trainer.fit(tiny_data.train, checkpoint_path=checkpoint)
+        assert any("at epoch 3" in record.getMessage() for record in caplog.records)
+        _assert_bitwise_uninterrupted(uninterrupted, history, model)
+
+    def test_changed_learning_rate_trains_fresh(self, tiny_data, tmp_path, caplog):
+        checkpoint = tmp_path / "ckpt.npz"
+        _, first = _make_trainer(tiny_data)
+        first.fit(tiny_data.train, epochs=2, checkpoint_path=checkpoint)
+
+        model, trainer = _make_trainer(tiny_data, learning_rate=0.01)
+        with pytest.raises(ValueError, match="'training' part differs.*learning_rate"):
+            trainer.load_checkpoint(checkpoint)
+        with caplog.at_level(logging.WARNING, logger="repro.core.trainer"):
+            history = trainer.fit(tiny_data.train, checkpoint_path=checkpoint)
+        assert any("'training' part differs" in r.getMessage() for r in caplog.records)
+
+        fresh_model, fresh = _make_trainer(tiny_data, learning_rate=0.01)
+        expected = fresh.fit(tiny_data.train)
+        _assert_bitwise_uninterrupted(
+            (expected.train_losses, {n: p.data for n, p in fresh_model.named_parameters()}),
+            history,
+            model,
+        )

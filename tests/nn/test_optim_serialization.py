@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nn import (
     Adam,
@@ -20,6 +22,7 @@ from repro.nn import (
 )
 from repro.nn import init as nn_init
 from repro.utils import RandomState
+from tests.reference import PerParameterAdam
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
@@ -119,6 +122,62 @@ class TestAdam:
         param.grad = np.ones(3)
         optimizer.step()
         assert param.data is before
+
+    def test_rejects_repeated_parameter_and_mixed_dtypes(self):
+        shared = Parameter(np.zeros(2))
+        with pytest.raises(ValueError, match="more than once"):
+            Adam([shared, Parameter(np.ones(3)), shared], lr=0.1)
+        with pytest.raises(ValueError, match="one parameter dtype"):
+            Adam([Parameter(np.zeros(2)), Parameter(np.zeros(2, dtype=np.float32))], lr=0.1)
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shapes=st.lists(
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4), min_size=1, max_size=6
+    ),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_flat_adam_is_bitwise_the_per_parameter_oracle(shapes, weight_decay, seed, data):
+    """Five steps of the flat Adam equal the per-parameter update bit for bit.
+
+    Random shapes (size 1 and 3-D included) and, at each step, a random
+    subset of parameters without a gradient, which splits the flat update
+    into several spans.  Parameters and the moments of ``state_dict()`` are
+    compared as ``uint64``; a parameter the oracle never updated holds zero
+    moments in the flat buffers.
+    """
+    rng = np.random.default_rng(seed)
+    flat_params = [Parameter(rng.normal(size=shape)) for shape in shapes]
+    oracle_params = [Parameter(p.data.copy()) for p in flat_params]
+    flat = Adam(flat_params, lr=0.05, weight_decay=weight_decay)
+    oracle = PerParameterAdam(oracle_params, lr=0.05, weight_decay=weight_decay)
+    for _ in range(5):
+        without_grad = data.draw(st.lists(st.booleans(), min_size=len(shapes), max_size=len(shapes)))
+        for p, q, skip in zip(flat_params, oracle_params, without_grad):
+            grad = None if skip else rng.normal(size=p.shape) * rng.choice([1e-3, 1.0, 1e3])
+            p.grad = None if grad is None else grad.copy()
+            q.grad = None if grad is None else grad.copy()
+        flat.step()
+        oracle.step()
+
+    state = flat.state_dict()
+    assert set(state["arrays"]) == {"m", "v"} and state["extra"] == {"t": 5}
+    offset = 0
+    for p, q in zip(flat_params, oracle_params):
+        np.testing.assert_array_equal(_bits(p.data), _bits(q.data))
+        m, v = (state["arrays"][key][offset : offset + p.size].reshape(p.shape) for key in "mv")
+        offset += p.size
+        zeros = np.zeros(p.shape)
+        expected_m, expected_v = oracle.state.get(id(q), (zeros, zeros))[:2]
+        np.testing.assert_array_equal(_bits(m), _bits(expected_m))
+        np.testing.assert_array_equal(_bits(v), _bits(expected_v))
 
 
 class TestClipGradNorm:

@@ -95,6 +95,29 @@ class TestTrainerMetrics:
         assert len(tracer.find("train/epoch")) == 2
         epoch_spans = tracer.find("train/epoch")
         assert all(s.parent is tracer.find("train/fit")[0] for s in epoch_spans)
+        assert tracer.find("train/checkpoint") == []
+
+    def test_checkpoint_writes_are_spans_under_fit(self, tmp_path):
+        dataset = _tiny_dataset()
+        config = CausalTADConfig.small(dataset.num_segments)
+        model = CausalTAD(config, rng=RandomState(0))
+        trainer = Trainer(model, TrainingConfig(epochs=3, batch_size=4, seed=0))
+        trainer.fit(dataset, checkpoint_path=tmp_path / "ckpt.npz")
+
+        tracer = obs.tracer()
+        fit = tracer.find("train/fit")[0]
+        writes = tracer.find("train/checkpoint")
+        assert [span.attrs["epoch"] for span in writes] == [1, 2, 3]
+        assert all(span.parent is fit for span in writes)
+        sizes = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+        # Epochs 1 and 3 overwrite the first slot, epoch 2 the second.
+        assert writes[1].attrs["bytes"] == sizes["ckpt.1.npz"]
+        assert writes[2].attrs["bytes"] == sizes["ckpt.npz"]
+        registry = obs.metrics()
+        assert registry.get("train/checkpoints").value == 3
+        assert registry.get("train/checkpoint_bytes").value == sum(
+            span.attrs["bytes"] for span in writes
+        )
 
     def test_disabled_registry_records_nothing(self):
         obs.reset(enabled=False)

@@ -8,6 +8,8 @@ and the TG-VAE, RP-VAE, CausalTAD and Seq2Seq losses composed from those
 pieces, with the eval-mode scores built on them (Eq. 10 scores, the Fig. 4
 breakdown, the Seq2Seq baseline scores) and the Tensor-module session start
 that :func:`~repro.core.scoring_kernel.init_session_states` is pinned to.
+:class:`PerParameterAdam` is the Adam update run parameter by parameter,
+the oracle of the flat :class:`~repro.nn.optim.Adam`.
 Every function reads the parameters of a live model, so a fused
 forward and its reference can be compared on identical weights (and, for
 two models built from the same seed, identical random streams).  The dense
@@ -19,13 +21,16 @@ Used by ``tests/nn/test_fused_kernels.py`` (kernel and model-level gradient
 parity), ``tests/core/test_inference_engine.py`` (score parity of the numpy
 engine), ``tests/core/test_scoring_kernel.py`` (session start, bitwise),
 ``tests/roadnet/test_csr_graph.py`` (successor-table parity),
-``benchmarks/test_bench_train_fused.py`` (the speed gate's reference side)
-and ``benchmarks/test_bench_roadnet_pipeline.py`` (CSR-vs-dense scores).
+``benchmarks/test_bench_train_fused.py`` (the gradient and loss parity
+references, and the per-step timings it prints),
+``tests/nn/test_optim_serialization.py`` (the flat Adam against
+:class:`PerParameterAdam`, bitwise) and
+``benchmarks/test_bench_roadnet_pipeline.py`` (CSR-vs-dense scores).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +48,8 @@ from repro.nn import (
     log_softmax,
     masked_log_softmax,
     no_grad,
+    Optimizer,
+    Parameter,
     sequence_nll,
     stack,
 )
@@ -359,3 +366,71 @@ def seq2seq_scores(
     finally:
         model.train(was_training)
     return scores
+
+
+# --------------------------------------------------------------------------- #
+# per-parameter Adam
+# --------------------------------------------------------------------------- #
+class PerParameterAdam(Optimizer):
+    """Adam with one moment, scratch and decay buffer per parameter.
+
+    The update :class:`repro.nn.optim.Adam` ran before its moments became flat
+    buffers: the same in-place ufuncs, in the same order, with the same
+    scalars, once per parameter that has a gradient.  Parameters that never
+    had a gradient have no state.
+    """
+
+    def __init__(
+        self,
+        parameters: Iterable[Parameter],
+        lr: float = 0.001,
+        betas: tuple = (0.9, 0.999),
+        eps: float = 1e-8,
+        weight_decay: float = 0.0,
+    ) -> None:
+        super().__init__(parameters, lr)
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        # (m, v, scratch, decay_scratch) per parameter, keyed by id.
+        self.state: Dict[int, tuple] = {}
+        self._t = 0
+
+    def _buffers(self, p: Parameter) -> tuple:
+        state = self.state.get(id(p))
+        if state is None:
+            state = (
+                np.zeros_like(p.data),
+                np.zeros_like(p.data),
+                np.empty_like(p.data),
+                np.empty_like(p.data) if self.weight_decay else None,
+            )
+            self.state[id(p)] = state
+        return state
+
+    def step(self) -> None:
+        self._t += 1
+        bias1 = 1.0 - self.beta1**self._t
+        bias2 = 1.0 - self.beta2**self._t
+        for p in self.parameters:
+            if p.grad is None:
+                continue
+            m, v, scratch, decay = self._buffers(p)
+            grad = np.asarray(p.grad, dtype=p.data.dtype)
+            if self.weight_decay:
+                np.multiply(p.data, self.weight_decay, out=decay)
+                decay += grad
+                grad = decay
+            m *= self.beta1
+            np.multiply(grad, 1.0 - self.beta1, out=scratch)
+            m += scratch
+            v *= self.beta2
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - self.beta2
+            v += scratch
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            np.divide(m, scratch, out=scratch)
+            scratch *= self.lr / bias1
+            p.data -= scratch

@@ -8,7 +8,11 @@ machine speed — into one committed baseline file per benchmark area at the
 repository root:
 
 ========================  =====================================================
-``BENCH_train.json``      ``bench_train_fused`` (tg_speedup, full_speedup)
+``BENCH_train.json``      ``bench_train_fused``
+                          (tg_positions_per_probe_second,
+                          full_positions_per_probe_second: decoder positions
+                          per second of the host-speed probe, for the
+                          TG-VAE and the full CausalTAD training step)
 ``BENCH_roadnet.json``    ``bench_roadnet_queries`` / ``_dataset_build`` /
                           ``_dijkstra`` (each contributes ``<part>.speedup``)
 ``BENCH_scoring.json``    ``bench_score_throughput``
@@ -56,8 +60,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 AREAS: Dict[str, Dict[str, Dict[str, str]]] = {
     "train": {
         "bench_train_fused": {
-            "tg_speedup": "tg_speedup",
-            "full_speedup": "full_speedup",
+            "tg_positions_per_probe_second": "tg_positions_per_probe_second",
+            "full_positions_per_probe_second": "full_positions_per_probe_second",
         },
     },
     "roadnet": {
