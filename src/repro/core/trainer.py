@@ -21,14 +21,16 @@ bit-identical to an uninterrupted run (``tests/core/test_checkpoint_resume.py``
 pins this).
 
 A checkpoint belongs to one run.  It stores the run's fingerprint: the
-training config without ``epochs`` and
-``log_every`` (neither changes the epochs already trained, so
-``fit(epochs=3)`` followed by ``fit()`` resumes), the model class and its
-config, and a digest of the training set's trajectory ids, segments and
-labels; the serialization layer adds the parameter layout.  A checkpoint
-whose fingerprint or layout differs raises ``ValueError`` naming the part
-before anything is restored, and ``fit`` logs it and trains from scratch.
-Each write runs in a ``train/checkpoint`` span and counts
+training config without ``epochs`` and ``log_every`` (neither changes the
+epochs already trained, so ``fit(epochs=3)`` followed by ``fit()``
+resumes), the model class and its config, and a digest of the training
+set's trajectory ids, segments and labels; the serialization layer adds the
+parameter layout.  A checkpoint whose fingerprint or layout differs raises
+naming the part before anything is restored, and ``fit`` logs it and trains
+from scratch.  Only ``fit`` writes checkpoints, so every checkpoint carries
+all four parts; :meth:`Trainer.load_checkpoint` restores one without
+training and compares every part but the training set's, which only ``fit``
+sees.  Each write runs in a ``train/checkpoint`` span and counts
 ``train/checkpoints`` and ``train/checkpoint_bytes``.
 """
 
@@ -46,7 +48,8 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import TrainingConfig
-from repro.nn import Adam, CheckpointSlots, Module, Tensor, clip_grad_norm
+from repro.nn import Adam, Module, Tensor, clip_grad_norm
+from repro.nn.serialization import CheckpointSlots
 from repro.trajectory.dataset import EncodedBatch, TrajectoryDataset
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState
@@ -297,22 +300,16 @@ class Trainer:
             parts["data"] = _data_digest(dataset)
         return parts
 
-    def save_checkpoint(self, path: Union[str, Path], epoch: Optional[int] = None) -> Path:
-        """Write a full training checkpoint into the older of the path's two slots.
+    def _write_checkpoint(
+        self, checkpoint: CheckpointSlots, epoch: int, fingerprint: Dict[str, Any]
+    ) -> Path:
+        """Write a full training checkpoint into the older of the two slots.
 
         Captures the model parameters, the optimiser's state, the loss
         history, a positional list of every RNG stream the run draws from
-        (see :meth:`_rng_sources`) and the run's fingerprint without its
-        ``data`` part (``fit`` adds that part, so ``fit`` does not resume
-        from a checkpoint written here).  ``epoch`` defaults to the number of
-        epochs recorded in the history.  Returns the slot written.
+        (see :meth:`_rng_sources`) and the run's whole fingerprint.  Returns
+        the slot written.
         """
-        return self._write_checkpoint(CheckpointSlots(path), epoch, self._fingerprint())
-
-    def _write_checkpoint(
-        self, checkpoint: CheckpointSlots, epoch: Optional[int], fingerprint: Dict[str, Any]
-    ) -> Path:
-        epoch = int(epoch if epoch is not None else self.history.num_epochs)
         with obs.span("train/checkpoint", epoch=epoch) as span:
             written = checkpoint.save(
                 self.model,
@@ -332,12 +329,15 @@ class Trainer:
         return written
 
     def load_checkpoint(self, path: Union[str, Path]) -> int:
-        """Restore a checkpoint in place; returns the epoch to resume from.
+        """Restore a checkpoint ``fit`` wrote, in place; returns the epoch to resume from.
 
-        Validation (the run fingerprint except its ``data`` part, optimiser
-        type, RNG stream count, parameter names/shapes) happens before any
-        state is touched, so a mismatching checkpoint raises a ``ValueError``
-        naming what differs and leaves the trainer exactly as constructed.
+        Validation (the run fingerprint, optimiser type, RNG stream count,
+        parameter layout) happens before any state is touched, so a
+        mismatching checkpoint raises naming what differs — a ``ValueError``
+        for a fingerprint part — and leaves the trainer exactly as
+        constructed.  The fingerprint's ``data`` part is the one part not
+        compared: a trainer meets its training set only in ``fit``, which
+        compares all of them before it resumes.
         """
         return self._restore(CheckpointSlots(path), self._fingerprint())
 

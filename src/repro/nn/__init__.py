@@ -64,7 +64,6 @@ from repro.nn.serialization import (
     load_state_dict,
     save_training_checkpoint,
     load_training_checkpoint,
-    CheckpointSlots,
 )
 
 __all__ = [
@@ -115,7 +114,6 @@ __all__ = [
     "load_checkpoint",
     "save_training_checkpoint",
     "load_training_checkpoint",
-    "CheckpointSlots",
     "save_state_dict",
     "load_state_dict",
 ]

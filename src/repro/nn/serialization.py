@@ -55,7 +55,6 @@ __all__ = [
     "load_state_dict",
     "save_training_checkpoint",
     "load_training_checkpoint",
-    "CheckpointSlots",
 ]
 
 _METADATA_KEY = "__metadata_json__"
@@ -296,14 +295,14 @@ class CheckpointSlots:
                 unexpected = set(model_state) - set(own)
                 if missing or unexpected:
                     raise KeyError(
-                        f"checkpoint/model mismatch: missing={sorted(missing)}, "
+                        f"checkpoint {slot} has another 'layout': missing={sorted(missing)}, "
                         f"unexpected={sorted(unexpected)}"
                     )
             for name, param in own.items():
                 if name in model_state and model_state[name].shape != param.data.shape:
                     raise ValueError(
-                        f"shape mismatch for '{name}': expected {param.data.shape}, "
-                        f"got {model_state[name].shape}"
+                        f"checkpoint {slot} has another 'layout': shape of '{name}' is "
+                        f"{model_state[name].shape} there and {param.data.shape} here"
                     )
 
         # -- restore ------------------------------------------------------- #
@@ -383,10 +382,9 @@ def save_training_checkpoint(
     optimizer: Optional[Optimizer] = None,
     rng_states: Optional[List[dict]] = None,
     metadata: Optional[Dict[str, Any]] = None,
-    fingerprint: Optional[Dict[str, Any]] = None,
 ) -> Path:
     """:meth:`CheckpointSlots.save` into the slots of ``path``; returns the slot written."""
-    return CheckpointSlots(path).save(model, optimizer, rng_states, metadata, fingerprint)
+    return CheckpointSlots(path).save(model, optimizer, rng_states, metadata)
 
 
 def load_training_checkpoint(
@@ -395,7 +393,6 @@ def load_training_checkpoint(
     optimizer: Optional[Optimizer] = None,
     strict: bool = True,
     expected_rng_streams: Optional[int] = None,
-    fingerprint: Optional[Dict[str, Any]] = None,
 ) -> Tuple[Dict[str, Any], Optional[List[dict]]]:
     """:meth:`CheckpointSlots.load` from the slots of ``path``."""
-    return CheckpointSlots(path).load(model, optimizer, strict, expected_rng_streams, fingerprint)
+    return CheckpointSlots(path).load(model, optimizer, strict, expected_rng_streams)

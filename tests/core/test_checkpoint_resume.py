@@ -20,15 +20,16 @@ import pytest
 from repro.core import CausalTAD, CausalTADConfig, Trainer, TrainingConfig
 from repro.nn import (
     Adam,
-    CheckpointSlots,
     Linear,
     SGD,
+    Sequential,
     load_state_dict,
     load_training_checkpoint,
     save_state_dict,
     save_training_checkpoint,
 )
 from repro.nn.module import Parameter
+from repro.nn.serialization import CheckpointSlots
 from repro.trajectory import BenchmarkConfig, build_benchmark_data
 from repro.roadnet import XIAN_LIKE
 from repro.utils import RandomState
@@ -192,6 +193,48 @@ class TestTrainingCheckpointArchive:
         path = save_training_checkpoint(tmp_path / "ckpt.npz", model)
         with pytest.raises(KeyError):
             load_training_checkpoint(path, model, Adam(model.parameters(), lr=0.1))
+
+    @pytest.mark.parametrize(
+        "other, error",
+        [("wider", ValueError), ("renamed", KeyError)],
+    )
+    def test_other_layout_leaves_model_and_optimizer_untouched(self, other, error, tmp_path):
+        """An archive of another parameter layout is refused before anything is restored."""
+        source = Linear(4, 3, rng=RandomState(0))
+        path = save_training_checkpoint(
+            tmp_path / "ckpt.npz", source, optimizer=Adam(source.parameters(), lr=0.1)
+        )
+        if other == "wider":
+            model = Linear(4, 5, rng=RandomState(1))
+        else:
+            model = Sequential(Linear(4, 3, rng=RandomState(1)))
+        optimizer = Adam(model.parameters(), lr=0.1)
+        for param in model.parameters():
+            param.grad = np.ones_like(param.data)
+        optimizer.step()
+        params = {name: p.data.copy() for name, p in model.named_parameters()}
+        moments = optimizer.state_dict()
+
+        with pytest.raises(error, match="another 'layout'"):
+            load_training_checkpoint(path, model, optimizer)
+        for name, p in model.named_parameters():
+            assert np.array_equal(params[name], p.data), f"{name} was mutated"
+        after = optimizer.state_dict()
+        assert after["extra"] == moments["extra"]
+        for field in ("m", "v"):
+            np.testing.assert_array_equal(after["arrays"][field], moments["arrays"][field])
+
+    def test_layout_that_does_not_cover_the_parameters_raises(self, tmp_path):
+        model = Linear(2, 3, rng=RandomState(0))
+        path = save_state_dict(
+            {"params": np.zeros(5)},
+            tmp_path / "ckpt.npz",
+            metadata={"__layout__": [["weight", [3, 2]]], "__sequence__": 0},
+        )
+        before = model.weight.data.copy()
+        with pytest.raises(ValueError, match="layout holds 6 values but it stores 5"):
+            load_training_checkpoint(path, model)
+        assert np.array_equal(before, model.weight.data)
 
 
 class TestBitIdenticalResume:
