@@ -1,91 +1,67 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark file regenerates one table or figure of the paper.  The heavy
-ingredients — the two synthetic cities ("xian-like" and "chengdu-like"), their
-benchmark splits and the fitted detectors — are built once per session here
-and shared.
+The table and figure benchmarks (``test_bench_table*`` and
+``test_bench_fig*``) assert on the artifacts of one run of the experiment
+pipeline (:func:`repro.experiments.pipeline.build_pipeline`), the stages that
+also render ``docs/REPORT.md``.  The ``pipeline`` fixture runs it once per
+session into a temporary artifact cache and hands out stage artifacts by
+name: ``dataset``, ``train/<detector>``, ``eval/table1`` … ``eval/fig8``.
 
-Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
+``REPRO_BENCH_SCALE`` picks the pipeline's profile, on one city:
 
-* ``quick``  (default) — one city, a reduced detector suite and a short
-  training schedule.  The whole harness finishes in a few minutes on a laptop
-  CPU and is what CI runs.
-* ``full``   — both cities, the complete detector line-up of the paper and a
-  longer training schedule.  Expect tens of minutes on a CPU.
+* ``quick`` (default) — the quick profile: six detectors plus the Table III
+  ablations, 25 epochs.  This is what CI runs.
+* ``full`` — the full profile: the paper's complete line-up and 40 epochs.
 
-Whatever the scale, each benchmark prints the rows/series the corresponding
-paper artefact reports, so the output can be pasted into EXPERIMENTS.md.
+The speed gates build their own inputs; the ones that need a benchmark
+dataset use ``xian_data``, the bundle their committed ``BENCH_*.json``
+baselines were measured on.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, List, Sequence
 
 import pytest
 
-from benchmarks.support import (
-    BENCH_SCALE,
-    BENCH_SEED,
-    benchmark_config,
-    detector_config_for,
-    make_causal_tad_detector,
-)
-from repro.baselines import (
-    CausalTADDetector,
-    GMVSAEDetector,
-    TrajectoryAnomalyDetector,
-    VSAEDetector,
-)
-from repro.roadnet import CHENGDU_LIKE, XIAN_LIKE
+from benchmarks.support import BENCH_PROFILE, BENCH_SEED, benchmark_config
+from repro.experiments import ArtifactCache, ExperimentProfile, build_pipeline
+from repro.roadnet import XIAN_LIKE
 from repro.trajectory import build_benchmark_data
 from repro.utils import RandomState
 
 
+class PipelineArtifacts:
+    """Stage artifacts of one finished pipeline run, each loaded once."""
+
+    def __init__(self, profile: ExperimentProfile, cache: ArtifactCache, keys: Dict[str, str]):
+        self.profile = profile
+        self._cache = cache
+        self._keys = keys
+        self._loaded: Dict[str, Any] = {}
+
+    def __getitem__(self, stage: str) -> Any:
+        if stage not in self._loaded:
+            self._loaded[stage] = self._cache.load(stage, self._keys[stage])
+        return self._loaded[stage]
+
+    def detectors(self, names: Sequence[str]) -> List[Any]:
+        """The fitted detectors of the ``train/<name>`` stages, in order."""
+        return [self[f"train/{name}"] for name in names]
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory) -> PipelineArtifacts:
+    """One pipeline run of the benchmark profile, shared by the table and figure files."""
+    dag = build_pipeline(BENCH_PROFILE)
+    cache = ArtifactCache(tmp_path_factory.mktemp("pipeline"))
+    dag.run(cache, jobs=2, log=lambda _message: None)
+    return PipelineArtifacts(BENCH_PROFILE, cache, dag.compute_keys())
+
+
 @pytest.fixture(scope="session")
 def xian_data():
-    """Benchmark bundle for the smaller ('Xi'an-like') city."""
+    """Benchmark bundle for the 'Xi'an-like' city, the speed gates' input."""
     return build_benchmark_data(
         city_config=XIAN_LIKE, config=benchmark_config(), rng=RandomState(BENCH_SEED)
     )
-
-
-@pytest.fixture(scope="session")
-def chengdu_data():
-    """Benchmark bundle for the larger ('Chengdu-like') city (full scale only)."""
-    if BENCH_SCALE != "full":
-        pytest.skip("chengdu-like city only runs at REPRO_BENCH_SCALE=full")
-    return build_benchmark_data(
-        city_config=CHENGDU_LIKE, config=benchmark_config(), rng=RandomState(BENCH_SEED + 1)
-    )
-
-
-@pytest.fixture(scope="session")
-def fitted_causal_tad(xian_data) -> CausalTADDetector:
-    """A fitted CausalTAD detector shared by the figure benchmarks."""
-    detector = make_causal_tad_detector(detector_config_for(xian_data), rng=RandomState(BENCH_SEED + 100))
-    detector.fit(xian_data.train, network=xian_data.city.network)
-    return detector
-
-
-@pytest.fixture(scope="session")
-def fitted_vsae(xian_data) -> VSAEDetector:
-    """A fitted VSAE baseline shared by the figure benchmarks."""
-    detector = VSAEDetector(detector_config_for(xian_data), rng=RandomState(BENCH_SEED + 200))
-    detector.fit(xian_data.train, network=xian_data.city.network)
-    return detector
-
-
-@pytest.fixture(scope="session")
-def fitted_suite(xian_data) -> Dict[str, TrajectoryAnomalyDetector]:
-    """A small fitted detector suite for the online / stability figures."""
-    config = detector_config_for(xian_data)
-    rng = RandomState(BENCH_SEED + 300)
-    streams = rng.spawn(4)
-    suite: Dict[str, TrajectoryAnomalyDetector] = {
-        "VSAE": VSAEDetector(config, rng=streams[0]),
-        "GM-VSAE": GMVSAEDetector(config, rng=streams[1]),
-        "CausalTAD": make_causal_tad_detector(config, rng=streams[2]),
-    }
-    for detector in suite.values():
-        detector.fit(xian_data.train, network=xian_data.city.network)
-    return suite

@@ -1,4 +1,4 @@
-"""Shared configuration and detector-suite construction for the benchmarks.
+"""Shared configuration and gate helpers for the benchmarks.
 
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable
 (``quick`` — the default — or ``full``); see ``benchmarks/conftest.py`` for
@@ -13,25 +13,16 @@ from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.baselines import (
-    BetaVAEDetector,
-    CausalTADDetector,
-    DeepTEADetector,
-    DetectorConfig,
-    FactorVAEDetector,
-    GMVSAEDetector,
-    IBOATDetector,
-    SAEDetector,
-    TrajectoryAnomalyDetector,
-    VSAEDetector,
-)
-from repro.core import TrainingConfig
+from repro.experiments import get_profile
 from repro.trajectory import BenchmarkConfig, SimulatorConfig
-from repro.utils import RandomState
 from repro.utils.timing import Timer
 
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
+#: The experiment profile whose pipeline run the table and figure files assert on.
+BENCH_PROFILE = get_profile(BENCH_SCALE, seed=BENCH_SEED)
+#: Rounds of each scoring pass the table and figure files time (after one warm-up).
+SCORING_ROUNDS = 10
 #: When set, benchmarks drop their timing JSON here (CI uploads it as an artifact).
 BENCH_ARTIFACTS = os.environ.get("REPRO_BENCH_ARTIFACTS", "")
 #: Allowed relative regression against a committed ``BENCH_<area>.json``
@@ -46,12 +37,11 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 __all__ = [
     "BENCH_SCALE",
     "BENCH_SEED",
+    "BENCH_PROFILE",
+    "SCORING_ROUNDS",
     "BENCH_ARTIFACTS",
     "BENCH_BASELINE_TOLERANCE",
     "benchmark_config",
-    "training_config",
-    "detector_config_for",
-    "build_suite",
     "write_timing_artifact",
     "load_bench_baseline",
     "baseline_floor",
@@ -123,7 +113,7 @@ def interleaved_medians(
 
 
 def benchmark_config() -> BenchmarkConfig:
-    """Dataset scale for the current benchmark mode."""
+    """Dataset scale of ``xian_data``, the speed gates' input, for the current mode."""
     if BENCH_SCALE == "full":
         return BenchmarkConfig(
             num_sd_pairs=40,
@@ -137,79 +127,3 @@ def benchmark_config() -> BenchmarkConfig:
         num_ood_trajectories=200,
         simulator=SimulatorConfig(),
     )
-
-
-def training_config() -> TrainingConfig:
-    """Training schedule for the current benchmark mode."""
-    if BENCH_SCALE == "full":
-        return TrainingConfig(epochs=40, batch_size=32, learning_rate=0.01, seed=BENCH_SEED)
-    return TrainingConfig(epochs=25, batch_size=32, learning_rate=0.01, seed=BENCH_SEED)
-
-
-def detector_config_for(data) -> DetectorConfig:
-    """Shared learning-detector hyperparameters for a benchmark bundle."""
-    return DetectorConfig(
-        num_segments=data.num_segments,
-        embedding_dim=48,
-        hidden_dim=48,
-        latent_dim=24,
-        training=training_config(),
-        seed=BENCH_SEED,
-    )
-
-
-def make_causal_tad_detector(config: DetectorConfig, rng: RandomState) -> CausalTADDetector:
-    """CausalTAD configured the way the paper recommends for a new dataset.
-
-    The paper (§VI-H) recommends grid-searching λ on a validation set because
-    the scaling factor is an over-estimate (Eq. 6).  On the synthetic cities
-    the grid search of the Fig. 8 benchmark selects a small λ, and the
-    ``center_scaling`` correction (see "Deviations from the paper" in
-    ``docs/EXPERIMENTS.md``) removes the residual
-    trajectory-length bias of the raw factor, so the benchmark suite uses
-    λ = 0.05 with centred factors.  ``CausalTADConfig`` defaults remain the
-    paper-faithful λ = 0.1 / uncentred.
-    """
-    from repro.core import CausalTADConfig
-
-    model_config = CausalTADConfig(
-        num_segments=config.num_segments,
-        embedding_dim=config.embedding_dim,
-        hidden_dim=config.hidden_dim,
-        latent_dim=config.latent_dim,
-        lambda_weight=0.05,
-        center_scaling=True,
-    )
-    return CausalTADDetector(config, model_config=model_config, rng=rng)
-
-
-def build_suite(data, include_iboat: bool = True) -> List[TrajectoryAnomalyDetector]:
-    """The (unfitted) detector line-up used by the table benchmarks."""
-    config = detector_config_for(data)
-    rng = RandomState(BENCH_SEED)
-    streams = rng.spawn(10)
-    detectors: List[TrajectoryAnomalyDetector] = []
-    if include_iboat:
-        detectors.append(IBOATDetector(data.num_segments))
-    if BENCH_SCALE == "full":
-        detectors.extend(
-            [
-                VSAEDetector(config, rng=streams[0]),
-                SAEDetector(config, rng=streams[1]),
-                BetaVAEDetector(config, rng=streams[2]),
-                FactorVAEDetector(config, rng=streams[3]),
-                GMVSAEDetector(config, rng=streams[4]),
-                DeepTEADetector(config, rng=streams[5]),
-            ]
-        )
-    else:
-        detectors.extend(
-            [
-                VSAEDetector(config, rng=streams[0]),
-                SAEDetector(config, rng=streams[1]),
-                GMVSAEDetector(config, rng=streams[4]),
-                DeepTEADetector(config, rng=streams[5]),
-            ]
-        )
-    detectors.append(make_causal_tad_detector(config, rng=streams[6]))
-    return detectors

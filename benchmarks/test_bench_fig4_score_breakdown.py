@@ -3,20 +3,29 @@
 The paper visualises one normal trajectory with an unseen SD pair: the plain
 VSAE assigns several unpopular road segments anomaly scores above 5 and
 misclassifies the ride, while CausalTAD's scaling factor compensates for the
-over-estimation.  This benchmark regenerates the underlying numbers: the
-per-segment likelihood scores, the per-segment scaling factors and the
+over-estimation.  The pipeline's ``eval/fig4`` holds the underlying numbers:
+the per-segment likelihood scores, the per-segment scaling factors and the
 debiased scores for the OOD normal trajectory the baseline dislikes most.
+The timed pass recomputes that breakdown with the pipeline's fitted
+detectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from benchmarks.support import SCORING_ROUNDS
 from repro.eval import score_breakdown
 
 
-def test_bench_fig4_breakdown(benchmark, xian_data, fitted_causal_tad, fitted_vsae):
-    comparison = benchmark(lambda: score_breakdown(xian_data, fitted_causal_tad, fitted_vsae))
+def test_bench_fig4_breakdown(benchmark, pipeline):
+    data = pipeline["dataset"]
+    comparison = pipeline["eval/fig4"]
+    causal = pipeline["train/CausalTAD"]
+    baseline = pipeline[f"train/{comparison.baseline_name}"]
+    benchmark.pedantic(
+        lambda: score_breakdown(data, causal, baseline), rounds=SCORING_ROUNDS, warmup_rounds=1
+    )
 
     print()
     print(f"== fig4-score-breakdown ({comparison.trajectory_id}) ==")
@@ -32,13 +41,14 @@ def test_bench_fig4_breakdown(benchmark, xian_data, fitted_causal_tad, fitted_vs
     assert np.isfinite(comparison.causal_scores).all()
 
 
-def test_fig4_shape_scaling_targets_unpopular_segments(xian_data, fitted_causal_tad, fitted_vsae):
+def test_fig4_shape_scaling_targets_unpopular_segments(pipeline):
     """Segments that rarely (or never) occur in training get larger scaling factors."""
-    comparison = score_breakdown(xian_data, fitted_causal_tad, fitted_vsae)
-    scaling = fitted_causal_tad.model.scaling_factors()
+    data = pipeline["dataset"]
+    comparison = pipeline["eval/fig4"]
+    scaling = pipeline["train/CausalTAD"].model.scaling_factors()
 
-    counts = np.zeros(xian_data.num_segments)
-    for trajectory in xian_data.train.trajectories:
+    counts = np.zeros(data.num_segments)
+    for trajectory in data.train.trajectories:
         for segment in trajectory.segments:
             counts[segment] += 1
     seen = counts > np.median(counts)

@@ -6,30 +6,28 @@ slowest by a wide margin; the learning-based methods are fast; CausalTAD is
 no slower than the Seq2Seq baselines, and the cost of debiasing (the scaling
 factor lookup) is negligible because the factors are precomputed.
 
-A second benchmark times the O(1) online update path directly.
+The timed runs score the pipeline's fitted detectors, iBOAT included (the
+pipeline's ``eval/fig7b`` times only the sweep detectors).  A second
+benchmark times the O(1) online update path directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.support import detector_config_for
-from repro.baselines import IBOATDetector, TGVAEOnlyDetector
+from benchmarks.support import SCORING_ROUNDS
 from repro.core import OnlineDetector
 from repro.eval import format_efficiency, run_inference_efficiency
-from repro.utils import RandomState
-
-RATIOS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def test_bench_fig7b_inference_runtime(benchmark, xian_data, fitted_suite, fitted_causal_tad):
-    iboat = IBOATDetector(xian_data.num_segments)
-    iboat.fit(xian_data.train, network=xian_data.city.network)
-    detectors = [iboat, *fitted_suite.values()]
+def test_bench_fig7b_inference_runtime(benchmark, pipeline):
+    data = pipeline["dataset"]
+    profile = pipeline.profile
+    detectors = pipeline.detectors(("iBOAT", *profile.sweep_detectors))
 
     result = benchmark.pedantic(
         lambda: run_inference_efficiency(
-            xian_data, detectors, observed_ratios=RATIOS, max_trajectories=60
+            data, detectors, observed_ratios=profile.observed_ratios, max_trajectories=60
         ),
         rounds=1,
         iterations=1,
@@ -37,6 +35,7 @@ def test_bench_fig7b_inference_runtime(benchmark, xian_data, fitted_suite, fitte
 
     print()
     print(format_efficiency(result))
+    print(format_efficiency(pipeline["eval/fig7b"]))
 
     assert set(result.seconds) == {d.name for d in detectors}
     # The cost of debiasing is negligible: CausalTAD is within 2x of the
@@ -45,10 +44,10 @@ def test_bench_fig7b_inference_runtime(benchmark, xian_data, fitted_suite, fitte
     assert np.isfinite(causal_times).all()
 
 
-def test_bench_fig7b_online_update_latency(benchmark, xian_data, fitted_causal_tad):
+def test_bench_fig7b_online_update_latency(benchmark, pipeline):
     """Mean latency of one O(1) online update (the paper's headline efficiency claim)."""
-    online = OnlineDetector(fitted_causal_tad.model)
-    trajectory = max(xian_data.id_test.trajectories, key=len)
+    online = OnlineDetector(pipeline["train/CausalTAD"].model)
+    trajectory = max(pipeline["dataset"].id_test.trajectories, key=len)
 
     def one_ride():
         session = online.start_session(trajectory.sd_pair, trajectory.segments[0])
@@ -56,17 +55,15 @@ def test_bench_fig7b_online_update_latency(benchmark, xian_data, fitted_causal_t
             session.update(segment)
         return session.current_score
 
-    score = benchmark(one_ride)
+    score = benchmark.pedantic(one_ride, rounds=20 * SCORING_ROUNDS, warmup_rounds=1)
     assert np.isfinite(score)
 
 
-def test_fig7b_shape_iboat_is_slowest(xian_data, fitted_suite):
+def test_fig7b_shape_iboat_is_slowest(pipeline):
     """The metric-based baseline pays for its reference-set comparisons."""
-    iboat = IBOATDetector(xian_data.num_segments)
-    iboat.fit(xian_data.train, network=xian_data.city.network)
     result = run_inference_efficiency(
-        xian_data,
-        [iboat, fitted_suite["CausalTAD"]],
+        pipeline["dataset"],
+        pipeline.detectors(("iBOAT", "CausalTAD")),
         observed_ratios=(1.0,),
         max_trajectories=40,
     )

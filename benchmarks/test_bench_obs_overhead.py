@@ -102,7 +102,7 @@ def test_bench_obs_disabled_overhead_train_and_scoring(xian_data):
     ins = trainer._instruments()
     assert ins is not None
     enabled_step_seconds = _best_per_call(
-        lambda: trainer._instrumented_step(batch, ins, 0, 0), calls=2, rounds=3
+        lambda: trainer._step(batch, 0, 0, ins), calls=2, rounds=3
     )
     obs.reset(enabled=False)
 

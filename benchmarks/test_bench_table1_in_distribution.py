@@ -1,66 +1,48 @@
 """Benchmark for **Table I** — in-distribution evaluation.
 
-Paper protocol (§VI-B): for each city, evaluate every detector on the
-``ID & Detour`` and ``ID & Switch`` combinations and report ROC-AUC / PR-AUC.
-Expected *shape* (not absolute values): all learning-based methods beat iBOAT;
-the Seq2Seq family is tightly clustered; CausalTAD is at or near the top.
+Paper protocol (§VI-B): evaluate every detector on the ``ID & Detour`` and
+``ID & Switch`` combinations and report ROC-AUC / PR-AUC.  Expected *shape*
+(not absolute values): all learning-based methods beat iBOAT; the Seq2Seq
+family is tightly clustered; CausalTAD is at or near the top.
 
-The pytest-benchmark measurement wraps the *scoring* stage (fitting happens
-once outside the timer); the full table is printed so it can be recorded in
-EXPERIMENTS.md.
+The shape claims read the pipeline's ``eval/table1``, the table
+``docs/REPORT.md`` shows.  The pytest-benchmark measurement times the
+pipeline's fitted CausalTAD scoring ID & Detour, and the table is printed so
+it can be recorded in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.support import build_suite
-from repro.eval import (
-    ExperimentTable,
-    fit_and_evaluate,
-    format_improvement_summary,
-    format_results_table,
-)
+from benchmarks.support import SCORING_ROUNDS
+from repro.eval import format_improvement_summary, format_results_table
 
 
-def _build_table(data, name: str) -> ExperimentTable:
-    table = ExperimentTable(name=name)
-    for detector in build_suite(data):
-        table.extend(
-            fit_and_evaluate(
-                detector,
-                data.train,
-                [data.id_detour, data.id_switch],
-                network=data.city.network,
-            )
-        )
-    return table
-
-
-@pytest.fixture(scope="module")
-def table1(xian_data) -> ExperimentTable:
-    return _build_table(xian_data, "table1-in-distribution(xian-like)")
-
-
-def test_bench_table1_scoring(benchmark, table1, xian_data, fitted_causal_tad):
+def test_bench_table1_scoring(benchmark, pipeline):
     """Time CausalTAD's scoring pass over the ID & Detour combination."""
-    result = benchmark(lambda: fitted_causal_tad.score(xian_data.id_detour))
-    assert result.shape[0] == len(xian_data.id_detour)
+    data = pipeline["dataset"]
+    causal = pipeline["train/CausalTAD"]
+    result = benchmark.pedantic(
+        lambda: causal.score(data.id_detour), rounds=SCORING_ROUNDS, warmup_rounds=1
+    )
+    assert result.shape[0] == len(data.id_detour)
 
+    table1 = pipeline["eval/table1"]
     print()
     print(format_results_table(table1))
     print(format_improvement_summary(table1, metric="roc_auc"))
     print(format_improvement_summary(table1, metric="pr_auc"))
 
 
-def test_table1_shape_learning_beats_metric(table1):
+def test_table1_shape_learning_beats_metric(pipeline):
     """Learning-based methods should clearly beat iBOAT in distribution."""
+    table1 = pipeline["eval/table1"]
     for dataset in ("id-detour", "id-switch"):
         assert table1.metric("CausalTAD", dataset) > table1.metric("iBOAT", dataset)
 
 
-def test_table1_shape_causal_tad_competitive(table1):
+def test_table1_shape_causal_tad_competitive(pipeline):
     """CausalTAD must be within a few percent of the best baseline on ID data."""
+    table1 = pipeline["eval/table1"]
     for dataset in ("id-detour", "id-switch"):
         best_baseline = max(
             result.roc_auc
@@ -68,18 +50,3 @@ def test_table1_shape_causal_tad_competitive(table1):
             if result.dataset == dataset and result.detector != "CausalTAD"
         )
         assert table1.metric("CausalTAD", dataset) >= best_baseline - 0.05
-
-
-def test_bench_table1_chengdu(chengdu_data, benchmark):
-    """Full-scale only: the same table for the larger city."""
-    from benchmarks.support import BENCH_SEED, detector_config_for
-    from repro.baselines import CausalTADDetector
-    from repro.utils import RandomState
-
-    table = _build_table(chengdu_data, "table1-in-distribution(chengdu-like)")
-    causal = CausalTADDetector(detector_config_for(chengdu_data), rng=RandomState(BENCH_SEED + 400))
-    causal.fit(chengdu_data.train, network=chengdu_data.city.network)
-    benchmark(lambda: causal.score(chengdu_data.id_detour))
-    print()
-    print(format_results_table(table))
-    print(format_improvement_summary(table))

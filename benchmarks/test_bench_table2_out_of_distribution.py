@@ -5,48 +5,36 @@ and ``OOD & Switch`` combinations, whose normal trajectories have SD pairs
 never seen in training.  Expected shape: every method drops substantially
 relative to Table I, and CausalTAD's margin over the best baseline is much
 larger than in distribution (the paper reports +10.6% – +32.7%).
+
+The shape claims read the pipeline's ``eval/table1`` and ``eval/table2``;
+the timed pass is the pipeline's fitted CausalTAD scoring OOD & Detour.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.support import build_suite
-from repro.eval import (
-    ExperimentTable,
-    fit_and_evaluate,
-    format_improvement_summary,
-    format_results_table,
-)
+from benchmarks.support import SCORING_ROUNDS
+from repro.eval import format_improvement_summary, format_results_table
 
 
-@pytest.fixture(scope="module")
-def table2(xian_data) -> ExperimentTable:
-    table = ExperimentTable(name="table2-out-of-distribution(xian-like)")
-    for detector in build_suite(xian_data):
-        results = fit_and_evaluate(
-            detector,
-            xian_data.train,
-            [xian_data.ood_detour, xian_data.ood_switch],
-            network=xian_data.city.network,
-        )
-        table.extend(results)
-    return table
-
-
-def test_bench_table2_scoring(benchmark, table2, xian_data, fitted_causal_tad):
+def test_bench_table2_scoring(benchmark, pipeline):
     """Time CausalTAD's scoring pass over the OOD & Detour combination."""
-    result = benchmark(lambda: fitted_causal_tad.score(xian_data.ood_detour))
-    assert result.shape[0] == len(xian_data.ood_detour)
+    data = pipeline["dataset"]
+    causal = pipeline["train/CausalTAD"]
+    result = benchmark.pedantic(
+        lambda: causal.score(data.ood_detour), rounds=SCORING_ROUNDS, warmup_rounds=1
+    )
+    assert result.shape[0] == len(data.ood_detour)
 
+    table2 = pipeline["eval/table2"]
     print()
     print(format_results_table(table2))
     print(format_improvement_summary(table2, metric="roc_auc"))
     print(format_improvement_summary(table2, metric="pr_auc"))
 
 
-def test_table2_shape_causal_tad_leads_out_of_distribution(table2):
+def test_table2_shape_causal_tad_leads_out_of_distribution(pipeline):
     """CausalTAD should be the best (or essentially tied-best) method on OOD data."""
+    table2 = pipeline["eval/table2"]
     for dataset in ("ood-detour", "ood-switch"):
         best_baseline = max(
             result.roc_auc
@@ -57,14 +45,8 @@ def test_table2_shape_causal_tad_leads_out_of_distribution(table2):
         assert ours >= best_baseline - 0.03
 
 
-def test_table2_shape_ood_is_harder_than_id(table2, xian_data, fitted_causal_tad):
-    """Every detector loses accuracy relative to the ID setting (the OOD gap)."""
-    from repro.eval import evaluate_scores
-
-    id_metrics = evaluate_scores(
-        fitted_causal_tad.score(xian_data.id_detour), xian_data.id_detour.labels
-    )
-    ood_metrics = evaluate_scores(
-        fitted_causal_tad.score(xian_data.ood_detour), xian_data.ood_detour.labels
-    )
-    assert ood_metrics["roc_auc"] < id_metrics["roc_auc"]
+def test_table2_shape_ood_is_harder_than_id(pipeline):
+    """CausalTAD loses accuracy relative to the ID setting (the OOD gap)."""
+    id_auc = pipeline["eval/table1"].metric("CausalTAD", "id-detour")
+    ood_auc = pipeline["eval/table2"].metric("CausalTAD", "ood-detour")
+    assert ood_auc < id_auc

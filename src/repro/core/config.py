@@ -116,14 +116,7 @@ class CausalTADConfig:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Optimisation parameters for :class:`repro.core.trainer.Trainer`.
-
-    ``bucketing`` selects the mini-batch length-bucketing strategy of
-    :meth:`repro.trajectory.dataset.TrajectoryDataset.iter_batches`:
-    ``"length"`` (default) builds near-homogeneous-length batches so the fused
-    sequence kernels waste almost no padded timesteps; ``"chunk"`` is the
-    milder chunk-local sort; ``"none"`` disables bucketing.
-    """
+    """Optimisation parameters for :class:`repro.core.trainer.Trainer`."""
 
     epochs: int = 30
     batch_size: int = 32
@@ -133,7 +126,6 @@ class TrainingConfig:
     validation_fraction: float = 0.0
     log_every: int = 0
     seed: int = 0
-    bucketing: str = "length"
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -142,8 +134,6 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in [0, 1)")
-        if self.bucketing not in ("chunk", "length", "none"):
-            raise ValueError(f"unknown bucketing mode '{self.bucketing}'")
 
     @classmethod
     def paper(cls) -> "TrainingConfig":

@@ -212,15 +212,9 @@ class Trainer:
                 ins = self._instruments()
                 begin = time.perf_counter()
                 with obs.span("train/epoch", epoch=epoch):
-                    batches = train_set.iter_batches(
-                        config.batch_size, shuffle=True, rng=self.rng, bucketing=config.bucketing
-                    )
+                    batches = train_set.iter_batches(config.batch_size, shuffle=True, rng=self.rng)
                     for step, batch in enumerate(batches):
-                        if ins is None:
-                            loss_value = self._step(batch, epoch, step)
-                        else:
-                            loss_value = self._instrumented_step(batch, ins, epoch, step)
-                        epoch_losses.append(loss_value)
+                        epoch_losses.append(self._step(batch, epoch, step, ins))
                 self.history.epoch_seconds.append(time.perf_counter() - begin)
                 mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
                 self.history.train_losses.append(mean_loss)
@@ -246,28 +240,6 @@ class Trainer:
                 ):
                     self._write_checkpoint(checkpoint, epoch + 1, fingerprint)
         return self.history
-
-    def train_one_epoch(self, dataset: TrajectoryDataset) -> float:
-        """One epoch only (used by the training-scalability experiment)."""
-        self.model.train()
-        ins = self._instruments()
-        epoch = self.history.num_epochs
-        batches = dataset.iter_batches(
-            self.config.batch_size, shuffle=True, rng=self.rng, bucketing=self.config.bucketing
-        )
-        with obs.span("train/epoch"):
-            losses = [
-                self._step(batch, epoch, step)
-                if ins is None
-                else self._instrumented_step(batch, ins, epoch, step)
-                for step, batch in enumerate(batches)
-            ]
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        self.history.train_losses.append(mean_loss)
-        if ins is not None:
-            ins["epochs"].inc()
-            ins["epoch_loss"].set(mean_loss)
-        return mean_loss
 
     def evaluate_loss(self, dataset: TrajectoryDataset) -> float:
         """Mean loss over a dataset without updating parameters."""
@@ -393,14 +365,42 @@ class Trainer:
             return 0
 
     # ------------------------------------------------------------------ #
-    def _step(self, batch: EncodedBatch, epoch: int, step: int) -> float:
+    def _step(
+        self,
+        batch: EncodedBatch,
+        epoch: int,
+        step: int,
+        ins: Optional[Dict[str, object]] = None,
+    ) -> float:
+        """One optimiser update; records the per-step metrics when given ``ins``.
+
+        The optimisation math is the same either way (clipping included), so
+        enabling metrics never changes the trained parameters; the only extra
+        work is the pre-clip gradient norm when ``grad_clip`` is off.
+        """
+        begin = time.perf_counter()
         loss = self._compute_loss(batch)
         loss_value = _finite_loss(loss, epoch, step)
         self.optimizer.zero_grad()
         loss.backward()
         if self.config.grad_clip > 0:
-            clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
+            grad_norm = clip_grad_norm(self.optimizer.parameters, self.config.grad_clip)
+        elif ins is not None:
+            grad_norm = clip_grad_norm(self.optimizer.parameters, float("inf"))
         self.optimizer.step()
+        if ins is None:
+            return loss_value
+
+        ins["steps"].inc()
+        ins["trajectories"].inc(batch.batch_size)
+        ins["step_seconds"].observe(time.perf_counter() - begin)
+        ins["loss"].observe(loss_value)
+        ins["grad_norm"].observe(grad_norm)
+        mask = batch.mask
+        if mask.size:
+            # bucket occupancy: fraction of the padded (batch, time) grid
+            # holding real positions — how well length-bucketing packed us.
+            ins["batch_fill"].observe(float(mask.sum()) / float(mask.size))
         return loss_value
 
     # ------------------------------------------------------------------ #
@@ -428,36 +428,6 @@ class Trainer:
             "epoch_seconds": scope.histogram("epoch_seconds"),
             "epoch_loss": scope.gauge("epoch_loss"),
         }
-
-    def _instrumented_step(
-        self, batch: EncodedBatch, ins: Dict[str, object], epoch: int, step: int
-    ) -> float:
-        """Same update as :meth:`_step`, recording per-step metrics.
-
-        The optimisation math is identical (clipping included), so enabling
-        metrics never changes the trained parameters; the only extra work is
-        the pre-clip gradient norm when ``grad_clip`` is off.
-        """
-        begin = time.perf_counter()
-        loss = self._compute_loss(batch)
-        loss_value = _finite_loss(loss, epoch, step)
-        self.optimizer.zero_grad()
-        loss.backward()
-        max_norm = self.config.grad_clip if self.config.grad_clip > 0 else float("inf")
-        grad_norm = clip_grad_norm(self.optimizer.parameters, max_norm)
-        self.optimizer.step()
-
-        ins["steps"].inc()
-        ins["trajectories"].inc(batch.batch_size)
-        ins["step_seconds"].observe(time.perf_counter() - begin)
-        ins["loss"].observe(loss_value)
-        ins["grad_norm"].observe(grad_norm)
-        mask = batch.mask
-        if mask.size:
-            # bucket occupancy: fraction of the padded (batch, time) grid
-            # holding real positions — how well length-bucketing packed us.
-            ins["batch_fill"].observe(float(mask.sum()) / float(mask.size))
-        return loss_value
 
     def _compute_loss(self, batch: EncodedBatch) -> Tensor:
         output = self.model(batch)

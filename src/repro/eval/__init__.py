@@ -12,16 +12,13 @@ from repro.eval.metrics import (
     average_precision_score,
     evaluate_scores,
 )
-from repro.eval.evaluation import EvaluationResult, evaluate_detector, fit_and_evaluate
+from repro.eval.evaluation import EvaluationResult, evaluate_detector
 from repro.eval.experiments import (
     ExperimentTable,
     SweepResult,
     ScoreBreakdownComparison,
     EfficiencyResult,
     evaluate_fitted,
-    run_id_evaluation,
-    run_ood_evaluation,
-    run_ablation,
     score_breakdown,
     run_stability_sweep,
     run_online_sweep,
@@ -49,15 +46,11 @@ __all__ = [
     "evaluate_scores",
     "EvaluationResult",
     "evaluate_detector",
-    "fit_and_evaluate",
     "ExperimentTable",
     "SweepResult",
     "ScoreBreakdownComparison",
     "EfficiencyResult",
     "evaluate_fitted",
-    "run_id_evaluation",
-    "run_ood_evaluation",
-    "run_ablation",
     "score_breakdown",
     "run_stability_sweep",
     "run_online_sweep",

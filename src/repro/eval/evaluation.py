@@ -1,28 +1,21 @@
 """Detector evaluation helpers.
 
-Small, composable functions that the experiment runners build on:
-
 * :func:`evaluate_detector` — fit-free scoring of one detector on one test
   combination, returning ROC-AUC / PR-AUC.
-* :func:`fit_and_evaluate` — train a detector on the training split and
-  evaluate it on several test combinations.
 * :class:`EvaluationResult` — one row of a results table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.baselines.base import TrajectoryAnomalyDetector
 from repro.eval.metrics import evaluate_scores
-from repro.roadnet.network import RoadNetwork
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.utils.timing import Timer
 
-__all__ = ["EvaluationResult", "evaluate_detector", "fit_and_evaluate"]
+__all__ = ["EvaluationResult", "evaluate_detector"]
 
 
 @dataclass(frozen=True)
@@ -35,7 +28,6 @@ class EvaluationResult:
     pr_auc: float
     num_trajectories: int
     num_anomalies: int
-    fit_seconds: float = 0.0
     score_seconds: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
@@ -46,15 +38,12 @@ class EvaluationResult:
             "pr_auc": self.pr_auc,
             "num_trajectories": self.num_trajectories,
             "num_anomalies": self.num_anomalies,
-            "fit_seconds": self.fit_seconds,
             "score_seconds": self.score_seconds,
         }
 
 
 def evaluate_detector(
-    detector: TrajectoryAnomalyDetector,
-    dataset: TrajectoryDataset,
-    fit_seconds: float = 0.0,
+    detector: TrajectoryAnomalyDetector, dataset: TrajectoryDataset
 ) -> EvaluationResult:
     """Score a *fitted* detector on one labelled dataset."""
     with Timer() as timer:
@@ -67,18 +56,5 @@ def evaluate_detector(
         pr_auc=metrics["pr_auc"],
         num_trajectories=len(dataset),
         num_anomalies=dataset.num_anomalies,
-        fit_seconds=fit_seconds,
         score_seconds=timer.elapsed,
     )
-
-
-def fit_and_evaluate(
-    detector: TrajectoryAnomalyDetector,
-    train: TrajectoryDataset,
-    test_sets: Sequence[TrajectoryDataset],
-    network: Optional[RoadNetwork] = None,
-) -> List[EvaluationResult]:
-    """Train a detector once and evaluate it on every test combination."""
-    with Timer() as timer:
-        detector.fit(train, network=network)
-    return [evaluate_detector(detector, test_set, fit_seconds=timer.elapsed) for test_set in test_sets]

@@ -5,9 +5,7 @@ Every public function reproduces the *protocol* of one artefact:
 ===============================  =======================================================
 Function                         Paper artefact
 ===============================  =======================================================
-``run_id_evaluation``            Table I   (ID & Detour / ID & Switch, both metrics)
-``run_ood_evaluation``           Table II  (OOD & Detour / OOD & Switch)
-``run_ablation``                 Table III (CausalTAD vs TG-VAE vs RP-VAE)
+``evaluate_fitted``              Tables I–III (fitted detectors × test combinations)
 ``score_breakdown``              Fig. 4    (per-segment scores, VSAE vs CausalTAD)
 ``run_stability_sweep``          Fig. 5    (metrics vs distribution-shift ratio α)
 ``run_online_sweep``             Fig. 6    (metrics vs observed ratio)
@@ -16,10 +14,11 @@ Function                         Paper artefact
 ``run_lambda_sweep``             Fig. 8    (metrics vs λ, no retraining)
 ===============================  =======================================================
 
-The runners are deliberately thin: they fit/score detectors through the shared
+The runners are deliberately thin: they score detectors through the shared
 :class:`~repro.baselines.base.TrajectoryAnomalyDetector` interface and return
-plain dataclasses, so the benchmark harness, the examples and the tests all
-reuse exactly the same code paths.
+plain dataclasses.  The experiment pipeline (:mod:`repro.experiments.pipeline`)
+calls them once per table and figure, and the benchmark harness asserts on
+that pipeline's artifacts.
 """
 
 from __future__ import annotations
@@ -29,15 +28,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines import (
-    CausalTADDetector,
-    DetectorConfig,
-    RPVAEOnlyDetector,
-    TGVAEOnlyDetector,
-    TrajectoryAnomalyDetector,
-    VSAEDetector,
-)
-from repro.eval.evaluation import EvaluationResult, evaluate_detector, fit_and_evaluate
+from repro.baselines import CausalTADDetector, TrajectoryAnomalyDetector
+from repro.eval.evaluation import EvaluationResult, evaluate_detector
 from repro.eval.metrics import evaluate_scores
 from repro.trajectory.dataset import TrajectoryDataset
 from repro.trajectory.splits import BenchmarkData, mix_id_ood
@@ -51,9 +43,6 @@ __all__ = [
     "ScoreBreakdownComparison",
     "EfficiencyResult",
     "evaluate_fitted",
-    "run_id_evaluation",
-    "run_ood_evaluation",
-    "run_ablation",
     "score_breakdown",
     "run_stability_sweep",
     "run_online_sweep",
@@ -77,9 +66,6 @@ class ExperimentTable:
 
     def add(self, result: EvaluationResult) -> None:
         self.results.append(result)
-
-    def extend(self, results: Sequence[EvaluationResult]) -> None:
-        self.results.extend(results)
 
     def by_detector(self) -> Dict[str, List[EvaluationResult]]:
         grouped: Dict[str, List[EvaluationResult]] = {}
@@ -174,7 +160,7 @@ class EfficiencyResult:
 
 
 # --------------------------------------------------------------------------- #
-# Tables I and II
+# Tables I–III
 # --------------------------------------------------------------------------- #
 def evaluate_fitted(
     detectors: Sequence[TrajectoryAnomalyDetector],
@@ -194,53 +180,6 @@ def evaluate_fitted(
         for test_set in test_sets:
             table.add(evaluate_detector(detector, test_set))
     return table
-
-
-def _run_table(
-    data: BenchmarkData,
-    detectors: Sequence[TrajectoryAnomalyDetector],
-    test_sets: Sequence[TrajectoryDataset],
-    table_name: str,
-) -> ExperimentTable:
-    table = ExperimentTable(name=table_name)
-    for detector in detectors:
-        results = fit_and_evaluate(detector, data.train, test_sets, network=data.city.network)
-        table.extend(results)
-    return table
-
-
-def run_id_evaluation(
-    data: BenchmarkData, detectors: Sequence[TrajectoryAnomalyDetector]
-) -> ExperimentTable:
-    """Table I: ID & Detour and ID & Switch for every detector."""
-    return _run_table(data, detectors, [data.id_detour, data.id_switch], "table1-in-distribution")
-
-
-def run_ood_evaluation(
-    data: BenchmarkData, detectors: Sequence[TrajectoryAnomalyDetector]
-) -> ExperimentTable:
-    """Table II: OOD & Detour and OOD & Switch for every detector."""
-    return _run_table(data, detectors, [data.ood_detour, data.ood_switch], "table2-out-of-distribution")
-
-
-# --------------------------------------------------------------------------- #
-# Table III — ablation
-# --------------------------------------------------------------------------- #
-def run_ablation(
-    data: BenchmarkData,
-    config: DetectorConfig,
-    rng: Optional[RandomState] = None,
-) -> ExperimentTable:
-    """Table III: full CausalTAD vs TG-VAE-only vs RP-VAE-only on all four sets."""
-    rng = get_rng(rng)
-    streams = rng.spawn(3)
-    detectors: List[TrajectoryAnomalyDetector] = [
-        CausalTADDetector(config, rng=streams[0]),
-        TGVAEOnlyDetector(config, rng=streams[1]),
-        RPVAEOnlyDetector(config, rng=streams[2]),
-    ]
-    test_sets = [data.id_detour, data.id_switch, data.ood_detour, data.ood_switch]
-    return _run_table(data, detectors, test_sets, "table3-ablation")
 
 
 # --------------------------------------------------------------------------- #

@@ -29,6 +29,12 @@ def _validate(scores: Sequence[float], labels: Sequence[int]) -> Tuple[np.ndarra
         raise ValueError("scores and labels must be 1-D arrays of equal length")
     if scores.size == 0:
         raise ValueError("cannot compute metrics on empty inputs")
+    non_finite = np.flatnonzero(~np.isfinite(scores))
+    if non_finite.size:
+        raise ValueError(
+            f"{non_finite.size} of {scores.size} scores are not finite; "
+            f"the first is at index {non_finite[0]} ({scores[non_finite[0]]})"
+        )
     unique = set(np.unique(labels).tolist())
     if not unique <= {0, 1}:
         raise ValueError(f"labels must be binary (0/1); got {sorted(unique)}")

@@ -294,47 +294,25 @@ class TrajectoryDataset:
         shuffle: bool = True,
         rng: Optional[RandomState] = None,
         drop_last: bool = False,
-        bucketing: str = "chunk",
     ) -> Iterator[EncodedBatch]:
         """Iterate over padded mini-batches.
 
-        Trajectories are bucketed by length before batching (after shuffling)
-        to reduce padding waste, which matters for the numpy models — every
-        padded timestep costs a full vectorised RNN step.
-
-        Parameters
-        ----------
-        bucketing:
-            ``"chunk"`` (default) shuffles then sorts by length within coarse
-            ``batch_size * 8`` chunks — mild padding reduction, high batch
-            diversity.  ``"length"`` sorts the whole epoch by length so each
-            batch is near-homogeneous (minimal padding; the fused sequence
-            kernels see almost no wasted timesteps) while the *order of
-            batches* is shuffled to keep optimisation stochastic.  ``"none"``
-            disables bucketing entirely.  Ignored when ``shuffle`` is False.
+        Shuffled batches are length-bucketed: the shuffled order is sorted by
+        length (the shuffle randomises ties), so each batch is
+        near-homogeneous and the fused sequence kernels see almost no padded
+        timesteps, and then the *order of batches* is shuffled to keep
+        optimisation stochastic.  Without ``shuffle`` the batches follow
+        dataset order.
         """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if bucketing not in ("chunk", "length", "none"):
-            raise ValueError(f"unknown bucketing mode '{bucketing}'")
         rng = get_rng(rng)
         order = list(range(len(self._items)))
         batch_starts = list(range(0, len(order), batch_size))
         if shuffle:
             rng.shuffle(order)
-            if bucketing == "chunk":
-                # Length bucketing: sort within coarse chunks to keep stochasticity.
-                chunk = batch_size * 8
-                order = [
-                    i
-                    for start in range(0, len(order), chunk)
-                    for i in sorted(order[start : start + chunk], key=lambda x: len(self._items[x].trajectory))
-                ]
-            elif bucketing == "length":
-                # Global stable sort by length (the pre-shuffle randomises ties),
-                # then shuffle which batch comes first.
-                order.sort(key=lambda x: len(self._items[x].trajectory))
-                rng.shuffle(batch_starts)
+            order.sort(key=lambda x: len(self._items[x].trajectory))
+            rng.shuffle(batch_starts)
         for start in batch_starts:
             indices = order[start : start + batch_size]
             if drop_last and len(indices) < batch_size:

@@ -43,13 +43,6 @@ class TestTrainer:
         history = trainer.fit(benchmark_data.train, validation=benchmark_data.id_test)
         assert len(history.validation_losses) == 1
 
-    def test_train_one_epoch(self, benchmark_data, tiny_model_config):
-        model = CausalTAD(tiny_model_config, network=benchmark_data.city.network, rng=RandomState(0))
-        trainer = Trainer(model, TrainingConfig(epochs=1, batch_size=16), rng=RandomState(1))
-        loss = trainer.train_one_epoch(benchmark_data.train)
-        assert np.isfinite(loss)
-        assert trainer.history.num_epochs == 1
-
     def test_history_as_dict(self):
         history = TrainingHistory(train_losses=[1.0, 0.5], epoch_seconds=[0.1, 0.1])
         payload = history.as_dict()
@@ -124,13 +117,6 @@ class TestNonFiniteLoss:
         # still finite, and so is every loss the history recorded.
         assert all(np.isfinite(p.data).all() for p in model.parameters())
         assert np.isfinite(trainer.history.train_losses).all()
-
-    def test_train_one_epoch_raises(self, grid_walks):
-        network, dataset = grid_walks
-        _, trainer = self._trainer(network)
-        with pytest.raises(FloatingPointError, match="epoch"):
-            for _ in range(self.DIVERGING.epochs):
-                trainer.train_one_epoch(dataset)
 
 
 class TestOnlineDetector:

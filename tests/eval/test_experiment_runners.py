@@ -7,24 +7,21 @@ import pytest
 
 from repro.baselines import (
     CausalTADDetector,
-    DetectorConfig,
     IBOATDetector,
+    RPVAEOnlyDetector,
+    TGVAEOnlyDetector,
     VSAEDetector,
 )
-from repro.core import TrainingConfig
 from repro.eval import (
     evaluate_detector,
-    fit_and_evaluate,
+    evaluate_fitted,
     format_efficiency,
     format_improvement_summary,
     format_results_table,
     format_sweep,
-    run_ablation,
-    run_id_evaluation,
     run_inference_efficiency,
     run_lambda_sweep,
     run_online_sweep,
-    run_ood_evaluation,
     run_stability_sweep,
     run_training_scalability,
     score_breakdown,
@@ -54,42 +51,51 @@ class TestEvaluationHelpers:
         assert result.num_anomalies == benchmark_data.id_detour.num_anomalies
         assert set(result.as_dict()) >= {"detector", "dataset", "roc_auc", "pr_auc"}
 
-    def test_fit_and_evaluate_records_fit_time(self, benchmark_data, tiny_detector_config):
-        detector = IBOATDetector(benchmark_data.num_segments)
-        results = fit_and_evaluate(
-            detector, benchmark_data.train, [benchmark_data.id_detour], network=benchmark_data.city.network
-        )
-        assert len(results) == 1
-        assert results[0].fit_seconds >= 0.0
+
+def _fitted(detector, data):
+    detector.fit(data.train, network=data.city.network)
+    return detector
 
 
 class TestTables:
-    def test_table1_structure(self, benchmark_data, tiny_detector_config):
-        detectors = [
-            IBOATDetector(benchmark_data.num_segments),
-            CausalTADDetector(tiny_detector_config, rng=RandomState(72)),
-        ]
-        table = run_id_evaluation(benchmark_data, detectors)
+    def test_table1_structure(self, benchmark_data, fitted_pair):
+        causal, _ = fitted_pair
+        detectors = [_fitted(IBOATDetector(benchmark_data.num_segments), benchmark_data), causal]
+        table = evaluate_fitted(
+            detectors, [benchmark_data.id_detour, benchmark_data.id_switch], "table1"
+        )
         assert {r.dataset for r in table.results} == {"id-detour", "id-switch"}
         assert {r.detector for r in table.results} == {"iBOAT", "CausalTAD"}
         assert len(table.results) == 4
         assert table.metric("CausalTAD", "id-detour") > 0.5
 
-    def test_table2_structure(self, benchmark_data, tiny_detector_config):
-        detectors = [CausalTADDetector(tiny_detector_config, rng=RandomState(73))]
-        table = run_ood_evaluation(benchmark_data, detectors)
+    def test_table2_structure(self, benchmark_data, fitted_pair):
+        causal, _ = fitted_pair
+        table = evaluate_fitted(
+            [causal], [benchmark_data.ood_detour, benchmark_data.ood_switch], "table2"
+        )
         assert {r.dataset for r in table.results} == {"ood-detour", "ood-switch"}
 
-    def test_table3_ablation(self, benchmark_data, tiny_detector_config):
-        table = run_ablation(benchmark_data, tiny_detector_config, rng=RandomState(74))
-        detectors = {r.detector for r in table.results}
-        assert detectors == {"CausalTAD", "TG-VAE", "RP-VAE"}
+    def test_table3_ablation(self, benchmark_data, tiny_detector_config, fitted_pair):
+        causal, _ = fitted_pair
+        detectors = [
+            causal,
+            _fitted(TGVAEOnlyDetector(tiny_detector_config, rng=RandomState(73)), benchmark_data),
+            _fitted(RPVAEOnlyDetector(tiny_detector_config, rng=RandomState(74)), benchmark_data),
+        ]
+        test_sets = [
+            benchmark_data.id_detour,
+            benchmark_data.id_switch,
+            benchmark_data.ood_detour,
+            benchmark_data.ood_switch,
+        ]
+        table = evaluate_fitted(detectors, test_sets, "table3")
+        assert {r.detector for r in table.results} == {"CausalTAD", "TG-VAE", "RP-VAE"}
         assert len(table.results) == 3 * 4
 
-    def test_best_detector_lookup(self, benchmark_data, tiny_detector_config):
-        table = run_id_evaluation(
-            benchmark_data, [CausalTADDetector(tiny_detector_config, rng=RandomState(75))]
-        )
+    def test_best_detector_lookup(self, benchmark_data, fitted_pair):
+        causal, _ = fitted_pair
+        table = evaluate_fitted([causal], [benchmark_data.id_detour], "table1")
         assert table.best_detector("id-detour") == "CausalTAD"
         with pytest.raises(KeyError):
             table.best_detector("nonexistent")
@@ -159,14 +165,16 @@ class TestFigureSweeps:
 class TestReporting:
     def test_format_results_table_contains_cells(self, benchmark_data, fitted_pair):
         causal, _ = fitted_pair
-        table = run_id_evaluation(benchmark_data, [causal])
+        table = evaluate_fitted([causal], [benchmark_data.id_detour], "table1")
         text = format_results_table(table)
         assert "CausalTAD" in text
         assert "id-detour:roc_auc" in text
 
     def test_format_improvement_summary(self, benchmark_data, fitted_pair):
         causal, vsae = fitted_pair
-        table = run_id_evaluation(benchmark_data, [vsae, causal])
+        table = evaluate_fitted(
+            [vsae, causal], [benchmark_data.id_detour, benchmark_data.id_switch], "table1"
+        )
         text = format_improvement_summary(table)
         assert "CausalTAD" in text
         assert "%" in text

@@ -97,6 +97,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             roc_auc_score([], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match=r"2 of 4 scores are not finite; the first is at index 1"):
+            evaluate_scores([0.3, bad, 0.2, bad], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="4 of 4 scores"):
+            evaluate_scores([float("nan")] * 4, [0, 1, 0, 1])
+
     def test_evaluate_scores_keys(self):
         out = evaluate_scores([0.1, 0.9], [0, 1])
         assert set(out) == {"roc_auc", "pr_auc"}

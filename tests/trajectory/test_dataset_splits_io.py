@@ -133,40 +133,33 @@ class TestTrajectoryDataset:
         with pytest.raises(ValueError):
             list(make_dataset().iter_batches(0))
 
-    def test_iter_batches_rejects_unknown_bucketing(self):
-        with pytest.raises(ValueError):
-            list(make_dataset().iter_batches(4, bucketing="sorted"))
-
-    @pytest.mark.parametrize("bucketing", ["none", "chunk", "length"])
-    def test_bucketing_modes_cover_everything_once(self, bucketing):
+    def test_bucketing_modes_cover_everything_once(self):
         dataset = make_dataset()
         seen = []
-        for batch in dataset.iter_batches(
-            batch_size=5, shuffle=True, rng=RandomState(3), bucketing=bucketing
-        ):
+        for batch in dataset.iter_batches(batch_size=5, shuffle=True, rng=RandomState(3)):
             seen.extend(batch.lengths.tolist())
         assert len(seen) == len(dataset)
         assert sorted(seen) == sorted(len(item.trajectory) for item in dataset)
 
     def test_length_bucketing_minimises_padding(self):
-        """Strict length bucketing must not pad more than the shuffled order."""
+        """Length-bucketed batches pad less than the same shuffle left unsorted."""
         dataset = make_dataset()
 
-        def padded_steps(bucketing):
-            total = 0
-            for batch in dataset.iter_batches(
-                batch_size=4, shuffle=True, rng=RandomState(9), bucketing=bucketing
-            ):
-                total += batch.batch_size * batch.max_length - int(batch.full_mask.sum())
-            return total
+        def padded_steps(batches):
+            return sum(
+                batch.batch_size * batch.max_length - int(batch.full_mask.sum())
+                for batch in batches
+            )
 
-        assert padded_steps("length") <= padded_steps("none")
+        order = list(range(len(dataset)))
+        RandomState(9).shuffle(order)
+        unsorted = [dataset.encode(order[start : start + 4]) for start in range(0, len(order), 4)]
+        bucketed = dataset.iter_batches(batch_size=4, shuffle=True, rng=RandomState(9))
+        assert padded_steps(bucketed) < padded_steps(unsorted)
 
     def test_length_bucketing_batches_are_near_homogeneous(self):
         dataset = make_dataset()
-        for batch in dataset.iter_batches(
-            batch_size=4, shuffle=True, rng=RandomState(5), bucketing="length"
-        ):
+        for batch in dataset.iter_batches(batch_size=4, shuffle=True, rng=RandomState(5)):
             # Lengths within a batch are contiguous in the sorted global order.
             assert batch.lengths.max() - batch.lengths.min() <= 3
 

@@ -14,7 +14,10 @@ repository root:
                           per second of the host-speed probe, for the
                           TG-VAE and the full CausalTAD training step)
 ``BENCH_roadnet.json``    ``bench_roadnet_queries`` / ``_dataset_build`` /
-                          ``_dijkstra`` (each contributes ``<part>.speedup``)
+                          ``_dijkstra`` (query points, trajectories built
+                          and Dijkstra sources per second of the
+                          host-speed probe, each as
+                          ``<part>.<rate>_per_probe_second``)
 ``BENCH_scoring.json``    ``bench_score_throughput``
                           (positions_per_probe_second: decoder positions
                           scored per second of the host-speed probe;
@@ -65,9 +68,15 @@ AREAS: Dict[str, Dict[str, Dict[str, str]]] = {
         },
     },
     "roadnet": {
-        "bench_roadnet_queries": {"speedup": "queries.speedup"},
-        "bench_roadnet_dataset_build": {"speedup": "dataset_build.speedup"},
-        "bench_roadnet_dijkstra": {"speedup": "dijkstra.speedup"},
+        "bench_roadnet_queries": {
+            "points_per_probe_second": "queries.points_per_probe_second",
+        },
+        "bench_roadnet_dataset_build": {
+            "trajectories_per_probe_second": "dataset_build.trajectories_per_probe_second",
+        },
+        "bench_roadnet_dijkstra": {
+            "sources_per_probe_second": "dijkstra.sources_per_probe_second",
+        },
     },
     "scoring": {
         "bench_score_throughput": {
